@@ -31,8 +31,19 @@ type state = {
   mutable arrived : int;
   mutable submissions : int;   (* total submit calls, for the drain budget *)
   blocked : Intq.t;            (* FIFO of delayed transactions *)
+  (* [parked.(i)]: the wake epoch at which [i]'s pending request was
+     last delayed, -1 when it has no standing verdict. A queued
+     transaction whose stamp equals the current epoch would be refused
+     again, so the queue scan skips it. *)
+  parked : int array;
+  mutable n_done : int;        (* transactions with [completed] true *)
+  (* the grant log, one slot per grant in grant order: step and the
+     incarnation that made it; grown by doubling past the preallocated
+     [sum fmt] (re-executions after aborts) *)
+  mutable log_tx : int array;
+  mutable log_idx : int array;
+  mutable log_inc : int array;
   mutable clock : int;         (* driver events *)
-  mutable log : (Names.step_id * int) list;  (* grant, incarnation (rev) *)
   mutable delays : int;
   mutable restarts : int;
   mutable deadlocks : int;
@@ -42,6 +53,7 @@ type state = {
 
 let init sched sink fmt =
   let n = Array.length fmt in
+  let steps = max 1 (Array.fold_left ( + ) 0 fmt) in
   {
     sched;
     sink;
@@ -56,8 +68,13 @@ let init sched sink fmt =
     arrived = 0;
     submissions = 0;
     blocked = Intq.create n;
+    parked = Array.make n (-1);
+    (* a zero-step transaction is complete before anything arrives *)
+    n_done = Array.fold_left (fun k m -> if m = 0 then k + 1 else k) 0 fmt;
+    log_tx = Array.make steps 0;
+    log_idx = Array.make steps 0;
+    log_inc = Array.make steps 0;
     clock = 0;
-    log = [];
     delays = 0;
     restarts = 0;
     deadlocks = 0;
@@ -87,7 +104,31 @@ let dequeue st i = Intq.remove st.blocked i
 let completed st i =
   st.next_step.(i) >= st.fmt.(i) && st.outstanding.(i) = 0
 
+(* The scheduler's wake epoch, or the driver's count of the calls that
+   can change a scheduler's state (every grant commits, every restart
+   aborts) for a scheduler that declares none. *)
+let epoch st =
+  match st.sched.Scheduler.epoch with
+  | Some f -> f ()
+  | None -> st.grants + st.restarts
+
+let log_grant st (id : Names.step_id) =
+  let k = st.grants in
+  if k = Array.length st.log_tx then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    st.log_tx <- grow st.log_tx;
+    st.log_idx <- grow st.log_idx;
+    st.log_inc <- grow st.log_inc
+  end;
+  st.log_tx.(k) <- id.Names.tx;
+  st.log_idx.(k) <- id.Names.idx;
+  st.log_inc.(k) <- st.incarnation.(id.Names.tx)
+
+(* Only a transaction with an outstanding request is ever aborted (a
+   refused attempt, or a stall victim from the stuck list), so an abort
+   never un-completes one and [n_done] needs no decrement. *)
 let do_abort st ~reason i =
+  st.parked.(i) <- -1;
   st.restarts <- st.restarts + 1;
   if Obs.Sink.on st.sink then begin
     Obs.Sink.record st.sink (Obs.Event.Aborted { tx = i; reason });
@@ -115,16 +156,18 @@ let do_grant st (id : Names.step_id) =
   st.sched.Scheduler.commit id;
   st.clock <- st.clock + 1;
   Obs.Sink.set_now st.sink (float_of_int st.clock);
+  log_grant st id;
   st.grants <- st.grants + 1;
   let submitted = submit_pop st id.Names.tx in
   st.waiting <- st.waiting + (st.clock - 1 - submitted);
   st.next_step.(id.Names.tx) <- id.Names.idx + 1;
   st.outstanding.(id.Names.tx) <- st.outstanding.(id.Names.tx) - 1;
-  st.log <- (id, st.incarnation.(id.Names.tx)) :: st.log;
+  let done_ = completed st id.Names.tx in
+  if done_ then st.n_done <- st.n_done + 1;
   if Obs.Sink.on st.sink then begin
     Obs.Sink.record st.sink
       (Obs.Event.Executed { tx = id.Names.tx; idx = id.Names.idx });
-    if completed st id.Names.tx then
+    if done_ then
       Obs.Sink.record st.sink (Obs.Event.Committed { tx = id.Names.tx })
   end
 
@@ -140,6 +183,7 @@ let try_drain st i =
       do_grant st id;
       made_progress := true
     | Scheduler.Delay ->
+      st.parked.(i) <- epoch st;
       st.delays <- st.delays + 1;
       if Obs.Sink.on st.sink then
         Obs.Sink.record st.sink
@@ -158,18 +202,24 @@ let try_drain st i =
   !made_progress
 
 (* Repeatedly scan the FIFO queue, restarting from the head after every
-   grant, until a full pass yields nothing. The cursor walk is safe
-   without a snapshot: a no-progress [try_drain] (Delay of an
-   already-queued transaction) leaves the queue untouched, and on any
-   mutation we restart from the head anyway. *)
+   grant, until a full pass yields nothing. A parked transaction — one
+   delayed at the current epoch — is skipped without asking: by the
+   epoch contract the answer is Delay, and a Delay changes nothing, so
+   skipping it decides exactly what asking it would. The epoch is read
+   once per pass, since only progress (which restarts the pass) moves
+   it. The cursor walk is safe without a snapshot: a no-progress
+   [try_drain] (Delay of an already-queued transaction) leaves the
+   queue untouched, and on any mutation we restart from the head
+   anyway. *)
 let process_queue st =
   let continue = ref true in
   while !continue do
+    let e = epoch st in
     let rec scan i =
       if i < 0 then false
       else begin
         let nxt = Intq.next st.blocked i in
-        if try_drain st i then true else scan nxt
+        if st.parked.(i) <> e && try_drain st i then true else scan nxt
       end
     in
     continue := scan (Intq.head st.blocked)
@@ -232,12 +282,9 @@ let submit_many st arrivals = Array.iter (submit st) arrivals
 
 let drain st =
   (* drain the tail; bound the work to defend against livelock *)
-  let budget = ref (100 * (st.submissions + 1) * (Array.length st.fmt + 1)) in
   let n = Array.length st.fmt in
-  let all_done () =
-    let rec go i = i >= n || (completed st i && go (i + 1)) in
-    go 0
-  in
+  let budget = ref (100 * (st.submissions + 1) * (n + 1)) in
+  let all_done () = st.n_done = n in
   while not (all_done ()) do
     decr budget;
     if !budget < 0 then
@@ -249,12 +296,17 @@ let drain st =
     process_queue st;
     if st.grants = before && not (all_done ()) then resolve_stall st
   done;
-  let output =
-    List.rev st.log
-    |> List.filter_map (fun ((id : Names.step_id), inc) ->
-           if inc = st.incarnation.(id.Names.tx) then Some id else None)
-    |> Array.of_list
-  in
+  (* the committed schedule: the grants of each transaction's final
+     incarnation, in grant order *)
+  let output = Array.make (Array.fold_left ( + ) 0 st.fmt) (Names.step 0 0) in
+  let k = ref 0 in
+  for g = 0 to st.grants - 1 do
+    let tx = st.log_tx.(g) in
+    if st.log_inc.(g) = st.incarnation.(tx) then begin
+      output.(!k) <- Names.step tx st.log_idx.(g);
+      incr k
+    end
+  done;
   {
     output;
     delays = st.delays;

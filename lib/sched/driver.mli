@@ -4,10 +4,15 @@ open Core
 
     Feeds an arrival stream (an interleaving of the format — the history
     the users would produce with no interference) to a scheduler,
-    queueing delayed requests FIFO and retrying them after every grant.
-    When the stream is exhausted, remaining requests are retried until
-    everything completes; a stall (no grantable request) is resolved by
-    aborting the scheduler's chosen victim, counting a {e deadlock}.
+    queueing delayed requests FIFO. A delayed request is {e parked} at
+    the scheduler's wake epoch (the [epoch] of {!Scheduler.t}) and
+    asked again, in queue order after a grant, only once that epoch has
+    moved; by the epoch's contract a parked request would be refused
+    again, so parking changes no decision, only how many Delay verdicts
+    are rendered. When the stream is exhausted, queued requests are asked
+    again the same way until everything completes; a stall (no
+    grantable request) is resolved by aborting the scheduler's chosen
+    victim, counting a {e deadlock}.
     The stuck list handed to the scheduler's [victim] is ordered
     youngest-first by each transaction's {e first} arrival (seniority is
     wound-wait style: fixed once, kept across restarts), so a scheduler
@@ -21,7 +26,10 @@ open Core
 
 type stats = {
   output : Schedule.t;
-  delays : int;      (** requests that could not be granted immediately *)
+  delays : int;
+      (** Delay verdicts rendered: one per park. A request asked again
+          after its scheduler's epoch moved and refused again counts
+          again; a parked request the driver skips does not. *)
   restarts : int;    (** transaction aborts (incl. deadlock victims) *)
   deadlocks : int;   (** stalls the driver had to resolve *)
   waiting : int;
@@ -81,7 +89,7 @@ val run :
 
     With a [sink], the full request lifecycle is recorded: [Submitted]
     at each arrival (and at each replay after an abort), [Delayed] per
-    delay verdict (re-attempts included, mirroring [delays]), [Granted]
+    Delay verdict rendered (one per park, mirroring [delays]), [Granted]
     at the decision instant, [Executed] one clock tick later (the tick
     {e is} the step's execution), [Committed] after a transaction's
     final step, and [Aborted]/[Restarted] around each restart, with the

@@ -9,10 +9,11 @@ type t = {
   on_abort : int -> unit;
   victim : int list -> int option;
   detect : (int * Names.step_id) list -> int option;
+  epoch : (unit -> int) option;
 }
 
 let default_victim = function [] -> None | tx :: _ -> Some tx
 
 let make ~name ~attempt ~commit ?(on_abort = fun _ -> ())
-    ?(victim = default_victim) ?(detect = fun _ -> None) () =
-  { name; attempt; commit; on_abort; victim; detect }
+    ?(victim = default_victim) ?(detect = fun _ -> None) ?epoch () =
+  { name; attempt; commit; on_abort; victim; detect; epoch }

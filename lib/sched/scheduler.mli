@@ -5,10 +5,11 @@ open Core
     The paper models a scheduler as a mapping from request histories to
     correct schedules, realised operationally: step-execution requests
     arrive one at a time (in each transaction's program order) and the
-    scheduler must {e grant} the step now, {e delay} it (it will be
-    retried after other grants), or {e abort} the requesting transaction
-    (it restarts from its first step — how timestamp and
-    optimistic-flavoured schedulers resolve conflicts).
+    scheduler must {e grant} the step now, {e delay} it (it is asked
+    again once the scheduler's state has changed — see [epoch]), or
+    {e abort} the requesting transaction (it restarts from its first
+    step — how timestamp and optimistic-flavoured schedulers resolve
+    conflicts).
 
     A scheduler instance is stateful; [attempt] must be free of
     observable side effects so the driver can poll delayed requests.
@@ -56,6 +57,17 @@ type t = {
           stall path aborts lazily, after everything able to finish has
           finished, which is strictly cheaper in restarts. Used by the
           timed simulation after every delay. *)
+  epoch : (unit -> int) option;
+      (** The wake epoch: a monotone counter under one contract — a
+          [Delay] that [attempt] returned while the epoch read [w] would
+          still be [Delay] for the same step as long as the epoch still
+          reads [w]. The driver parks a delayed request at the epoch of
+          its verdict and asks again only once the epoch has moved. A
+          scheduler bumps it wherever a delay can turn into something
+          else: a removal from a conflict graph, a lock release, an
+          abort. [None]: the driver counts its own grants plus restarts,
+          which is every call that can change a scheduler's state, so
+          delayed requests are re-asked after every grant. *)
 }
 
 val make :
@@ -65,10 +77,14 @@ val make :
   ?on_abort:(int -> unit) ->
   ?victim:(int list -> int option) ->
   ?detect:((int * Names.step_id) list -> int option) ->
+  ?epoch:(unit -> int) ->
   unit ->
   t
 (** Defaults: [on_abort] does nothing; [victim] picks the first blocked
-    transaction; [detect] reports nothing.
+    transaction; [detect] reports nothing; no [epoch] (the driver's
+    grant-and-restart count stands in). A wrapper that rebuilds a
+    scheduler with [make] must forward [epoch], or the driver silently
+    falls back to re-asking after every grant.
 
     Why "first" is safe: {!Driver.resolve_stall} presents the stuck
     list {e youngest first} (sorted by arrival rank, descending), so the

@@ -36,7 +36,8 @@ let create ?(sink = Obs.Sink.null) ~syntax () =
      and the accessor lists only grow, and a growing conflict
      environment can never turn a cycle-closing request grantable —
      commutativity only ever removes candidate edges, it never adds
-     any. So Delay verdicts stay cacheable under a version stamp. *)
+     any. So Delay verdicts stay cacheable under a version stamp, and
+     the version is the wake epoch. *)
   let version = ref 0 in
   let blocked_at = Array.make n (-1) in
   let blocked_idx = Array.make n (-1) in
@@ -114,7 +115,11 @@ let create ?(sink = Obs.Sink.null) ~syntax () =
     let idx = id.Names.idx in
     let v = var_of_step.(tx).(idx) in
     let op = op_of_step.(tx).(idx) in
-    add_edges tx (conflicting_sources op history.(v));
+    (* A repeat (tx, op) access adds no edge, by {!Sgt}'s argument:
+       every conflicting accessor already has an edge to or from [tx],
+       and [attempt] has just ruled out the direction out of [tx]. *)
+    let repeat = List.exists (fun (u, o) -> u = tx && o = op) history.(v) in
+    if not repeat then add_edges tx (conflicting_sources op history.(v));
     if Obs.Sink.on sink then begin
       (* accesses of other transactions this grant did not serialize
          against — the coordination the commutativity table saved *)
@@ -127,8 +132,7 @@ let create ?(sink = Obs.Sink.null) ~syntax () =
       if skipped > 0 then
         Obs.Sink.record sink (Obs.Event.Commute_pass { tx; idx; skipped })
     end;
-    if not (List.exists (fun (u, o) -> u = tx && o = op) history.(v)) then
-      history.(v) <- (tx, op) :: history.(v);
+    if not repeat then history.(v) <- (tx, op) :: history.(v);
     active.(tx) <- true;
     if idx = fmt.(tx) - 1 then begin
       completed.(tx) <- true;
@@ -141,4 +145,5 @@ let create ?(sink = Obs.Sink.null) ~syntax () =
   in
   (* Lazy deadlock handling exactly as in {!Sgt}: a delayed request
      blocks nobody, so eager aborts only thrash restarts. *)
-  Scheduler.make ~name:"semantic" ~attempt ~commit ~on_abort ()
+  Scheduler.make ~name:"semantic" ~attempt ~commit ~on_abort
+    ~epoch:(fun () -> !version) ()

@@ -26,5 +26,6 @@ open Core
     measured coordination saving. *)
 
 val create : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t
-(** Constructor shape per the convention in {!Scheduler}; events as in
-    {!Sgt} plus {!Obs.Event.Commute_pass}. *)
+(** Constructor shape per the convention in {!Scheduler}; wake epoch
+    and events as in {!Sgt} (a repeat access by the same transaction
+    with the same op adds no edge) plus {!Obs.Event.Commute_pass}. *)

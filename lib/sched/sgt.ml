@@ -32,9 +32,12 @@ let create ?(sink = Obs.Sink.null) ~syntax () =
   (* Delay answers are monotone: between removals (abort or prune), the
      graph and the accessor lists only grow, and growing either can
      never turn a cycle-closing request into a grantable one. So a
-     Delay verdict for (tx, idx) stays valid until the next removal,
-     and the driver's retry-after-every-grant loop can be answered from
-     a version stamp instead of repeating the search. *)
+     Delay verdict for (tx, idx) stays valid until the next removal.
+     [version] counts removals and is the scheduler's wake epoch: the
+     driver parks a delayed request until it moves. The private cache
+     below answers the re-asks that still come — [Sim.Des] polls every
+     delayed request after each grant — from the version stamp instead
+     of repeating the search. *)
   let version = ref 0 in
   let blocked_at = Array.make n (-1) in
   let blocked_idx = Array.make n (-1) in
@@ -104,11 +107,17 @@ let create ?(sink = Obs.Sink.null) ~syntax () =
       end;
       add_edges tx us
   in
+  (* A repeat access adds no edge. Every other accessor u of [v] met
+     [tx] there before, so u -> tx or tx -> u is already in the graph,
+     and [attempt] has just ruled out any path tx ~> u: each u -> tx is
+     present, and the batch would only re-find it. *)
   let commit (id : Names.step_id) =
     let tx = id.Names.tx in
     let v = var_of_step.(tx).(id.Names.idx) in
-    add_edges tx history.(v);
-    if not (List.memq tx history.(v)) then history.(v) <- tx :: history.(v);
+    if not (List.memq tx history.(v)) then begin
+      add_edges tx history.(v);
+      history.(v) <- tx :: history.(v)
+    end;
     active.(tx) <- true;
     if id.Names.idx = fmt.(tx) - 1 then begin
       completed.(tx) <- true;
@@ -127,4 +136,5 @@ let create ?(sink = Obs.Sink.null) ~syntax () =
      aborting each freshly-doomed requester replays it straight back into
      the same conflicts and thrashes restarts a thousandfold on contended
      workloads, where the lazy policy pays a handful. *)
-  Scheduler.make ~name:"SGT" ~attempt ~commit ~on_abort ()
+  Scheduler.make ~name:"SGT" ~attempt ~commit ~on_abort
+    ~epoch:(fun () -> !version) ()

@@ -20,9 +20,13 @@ open Core
     oracle. *)
 
 val create : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t
-(** With a [sink], admitted conflict edges emit
-    {!Obs.Event.Edge_added} and fresh cycle refusals emit
-    {!Obs.Event.Cycle_refused} (cached delay re-verdicts stay silent —
-    they never touch the graph). Timestamps come from the driving
+(** The wake epoch is the count of removals (aborts and prunes): a
+    refused request stays refused until one happens.
+
+    With a [sink], the conflict edges a transaction's first access to a
+    variable induces emit {!Obs.Event.Edge_added} (a repeat access
+    induces none: its edges are already in the graph) and fresh cycle
+    refusals emit {!Obs.Event.Cycle_refused} (cached delay re-verdicts
+    stay silent — they never touch the graph). Timestamps come from the driving
     loop's {!Obs.Sink.set_now}. Constructor shape per the convention in
     {!Scheduler}. *)

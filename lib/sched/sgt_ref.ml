@@ -40,7 +40,11 @@ let create ~syntax =
       history;
     graph := g
   in
+  (* removals, the wake epoch: between two of them the graph and the
+     histories only grow, so a cycle-closing request stays refused *)
+  let removals = ref 0 in
   let forget i =
+    incr removals;
     Hashtbl.filter_map_inplace
       (fun _ txs ->
         match List.filter (fun tx -> tx <> i) txs with
@@ -86,4 +90,5 @@ let create ~syntax =
   (* No eager [detect], mirroring [Sgt]: a delayed request is doomed
      until an abort but blocks nobody, so victim selection is left to the
      lazy stall path. *)
-  Scheduler.make ~name:"SGT-ref" ~attempt ~commit ~on_abort ()
+  Scheduler.make ~name:"SGT-ref" ~attempt ~commit ~on_abort
+    ~epoch:(fun () -> !removals) ()

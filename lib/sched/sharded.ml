@@ -46,6 +46,10 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     else Some (Digraph.Acyclic.create p.Partition.n_cross)
   in
   let cversion = ref 0 in
+  (* The wake epoch: bumped wherever a shard version or [cversion]
+     moves, so an unchanged epoch means every cache key below is
+     unchanged too. *)
+  let epoch = ref 0 in
   (* cross-shard transactions present in each shard, as (shard-local id,
      coordinator id, global id): the only candidate endpoints of summary
      edges discovered in that shard *)
@@ -157,6 +161,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   in
   let forget s l =
     version.(s) <- version.(s) + 1;
+    incr epoch;
     let h = history.(s) in
     for v = 0 to Array.length h - 1 do
       if List.memq l h.(v) then h.(v) <- List.filter (fun u -> u <> l) h.(v)
@@ -251,10 +256,12 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     | Some cg ->
       if p.Partition.cross.(tx) then begin
         Digraph.Acyclic.remove_vertex cg p.Partition.cross_id.(tx);
-        incr cversion
+        incr cversion;
+        incr epoch
       end
   in
   (* No eager [detect], for the same reason as {!Sgt}: a refused request
      dooms only its requester and blocks nobody, so lazy stall
      resolution is strictly cheaper in restarts. *)
-  Scheduler.make ~name:"sharded" ~attempt ~commit ~on_abort ()
+  Scheduler.make ~name:"sharded" ~attempt ~commit ~on_abort
+    ~epoch:(fun () -> !epoch) ()

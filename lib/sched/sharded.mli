@@ -44,6 +44,8 @@ val create :
     fresh refusals emit {!Obs.Event.Cycle_refused}, all with global
     transaction ids. Constructor shape per the convention in
     {!Scheduler}. Raises [Invalid_argument] unless [1 <= shards <= 62].
+    The wake epoch moves whenever any shard's removal version or the
+    coordinator's does.
 
     [commit_cross] is the distributed atomic-commit hook: when the
     {e final} step of a {e cross-shard} transaction passes admission,

@@ -87,6 +87,10 @@ let create ?(sink = Obs.Sink.null) ~policy ~syntax () =
         | Locking.Locked.Lock _ | Locking.Locked.Unlock _ | Locking.Locked.Action _ -> None)
       (locks_needed i)
   in
+  (* The wake epoch: a request is delayed by a lock another transaction
+     holds, and acquisitions only add holders, so the verdict can change
+     only when a lock is released (an unlock or an abort). *)
+  let releases = ref 0 in
   let attempt (id : Names.step_id) =
     match blocking_lock id.Names.tx with
     | Some _ -> Scheduler.Delay
@@ -101,6 +105,7 @@ let create ?(sink = Obs.Sink.null) ~policy ~syntax () =
     | Locking.Locked.Unlock x ->
       if held_by i x then begin
         Hashtbl.remove holder x;
+        incr releases;
         if Obs.Sink.on sink then
           Obs.Sink.record sink (Obs.Event.Lock_released { tx = i; lock = x })
       end
@@ -134,6 +139,7 @@ let create ?(sink = Obs.Sink.null) ~policy ~syntax () =
     end
   in
   let on_abort i =
+    incr releases;
     position.(i) <- 0;
     Hashtbl.filter_map_inplace
       (fun _ j -> if j = i then None else Some j)
@@ -160,7 +166,8 @@ let create ?(sink = Obs.Sink.null) ~policy ~syntax () =
   in
   Scheduler.make
     ~name:("LRS[" ^ policy.Locking.Policy.name ^ "]")
-    ~attempt ~commit ~on_abort ~victim ~detect ()
+    ~attempt ~commit ~on_abort ~victim ~detect
+    ~epoch:(fun () -> !releases) ()
 
 let create_2pl ?sink ~syntax () =
   create ?sink ~policy:Locking.Two_phase.policy ~syntax ()

@@ -10,6 +10,8 @@ open Core
     unlock steps release eagerly. Deadlocks surface as driver stalls;
     the victim (the blocked transaction whose abort frees a wait-for
     cycle, or the first blocked one) releases its locks and restarts.
+    The wake epoch counts lock releases (unlocks and aborts): a request
+    delayed by a held lock stays delayed until one happens.
 
     Its zero-delay set is {!Locking.Locked.passes}' set — strictly inside
     the SGT scheduler's fixpoint, which is the formal content of §5.4's

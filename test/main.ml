@@ -13,6 +13,7 @@ let () =
       ("geometry", Test_geometry.suite);
       ("sched", Test_sched.suite);
       ("sgt-diff", Test_sgt_diff.suite);
+      ("parking", Test_parking.suite);
       ("semantic", Test_semantic.suite);
       ("registry", Test_registry.suite);
       ("sharded", Test_sharded.suite);

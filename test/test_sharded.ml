@@ -11,17 +11,6 @@
 open Util
 open Core
 
-(* Wrap a scheduler so every [attempt] outcome is appended to [trace]
-   (same harness as the SGT/SGT-ref differential). *)
-let traced trace (s : Sched.Scheduler.t) =
-  Sched.Scheduler.make ~name:s.Sched.Scheduler.name
-    ~attempt:(fun id ->
-      let r = s.Sched.Scheduler.attempt id in
-      trace := (id, r) :: !trace;
-      r)
-    ~commit:s.Sched.Scheduler.commit ~on_abort:s.Sched.Scheduler.on_abort
-    ~victim:s.Sched.Scheduler.victim ~detect:s.Sched.Scheduler.detect ()
-
 let same_stats (a : Sched.Driver.stats) (b : Sched.Driver.stats) =
   Schedule.equal a.Sched.Driver.output b.Sched.Driver.output
   && a.Sched.Driver.delays = b.Sched.Driver.delays

@@ -19,17 +19,6 @@ open Core
 
 let cfg = Sched.Twopc.default
 
-(* Wrap a scheduler so every [attempt] outcome is appended to [trace]
-   (same harness as the sharded/SGT differential). *)
-let traced trace (s : Sched.Scheduler.t) =
-  Sched.Scheduler.make ~name:s.Sched.Scheduler.name
-    ~attempt:(fun id ->
-      let r = s.Sched.Scheduler.attempt id in
-      trace := (id, r) :: !trace;
-      r)
-    ~commit:s.Sched.Scheduler.commit ~on_abort:s.Sched.Scheduler.on_abort
-    ~victim:s.Sched.Scheduler.victim ~detect:s.Sched.Scheduler.detect ()
-
 (* ---------- protocol happy path ---------- *)
 
 let test_happy_path () =

@@ -6,6 +6,21 @@ let check_true name b = Alcotest.(check bool) name true b
 let check_false name b = Alcotest.(check bool) name false b
 let check_int name expected actual = Alcotest.(check int) name expected actual
 
+(* Wrap a scheduler so every [attempt] outcome is appended to [trace]
+   (newest first). The driver learns nothing else from a scheduler's
+   decisions, so equal traces mean two schedulers are observationally
+   identical to any driver. A record update, so every other field — the
+   wake epoch the driver parks on included — is forwarded unchanged. *)
+let traced trace (s : Sched.Scheduler.t) =
+  {
+    s with
+    Sched.Scheduler.attempt =
+      (fun id ->
+        let r = s.Sched.Scheduler.attempt id in
+        trace := (id, r) :: !trace;
+        r);
+  }
+
 (* A deterministic RNG per test to keep failures reproducible. *)
 let rng seed = Random.State.make [| 0xC0FFEE; seed |]
 
