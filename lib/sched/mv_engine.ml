@@ -34,14 +34,20 @@ let create policy ?(sink = Obs.Sink.null) ~syntax () =
   let record ev = if Obs.Sink.on sink then Obs.Sink.record sink ev in
   (* ---- shadow serialization graph (classification only) ---- *)
   let shadow : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* edges added touching each transaction; may hold edges since
+     purged by the other end, which a later purge removes harmlessly *)
+  let touching = Array.make n [] in
   let shadow_add src dst =
-    if policy.ssi && src <> dst then Hashtbl.replace shadow (src, dst) ()
+    if policy.ssi && src <> dst && not (Hashtbl.mem shadow (src, dst))
+    then begin
+      Hashtbl.add shadow (src, dst) ();
+      touching.(src) <- (src, dst) :: touching.(src);
+      touching.(dst) <- (src, dst) :: touching.(dst)
+    end
   in
   let shadow_purge i =
-    Hashtbl.fold
-      (fun (s, d) () acc -> if s = i || d = i then (s, d) :: acc else acc)
-      shadow []
-    |> List.iter (Hashtbl.remove shadow)
+    List.iter (Hashtbl.remove shadow) touching.(i);
+    touching.(i) <- []
   in
   let shadow_cyclic ~extra =
     let g = Digraph.create n in
@@ -58,63 +64,60 @@ let create policy ?(sink = Obs.Sink.null) ~syntax () =
     | Some t -> Mvstore.snapshot t
     | None -> Mvstore.clock st
   in
-  (* New rw-antidependency edges the final step's commit would create:
-     [in_new] are concurrent transactions that read something in [tx]'s
-     update set (edge u -> tx), [out_new] are concurrent committed
-     transactions that installed, after [tx]'s snapshot, a version of
-     something [tx] read (edge tx -> w). *)
-  let new_edges tx final_var final_kind =
-    let snap = snap_of tx in
-    let reads =
-      let sofar =
-        match Mvstore.live_txn st tx with
-        | Some t -> Mvstore.reads_of t
-        | None -> []
-      in
-      if final_kind = Op.Read && not (List.mem final_var sofar) then
-        final_var :: sofar
-      else sofar
+  (* The rw-antidependency edges the final step's commit would create,
+     as existence tests over the store's indexes. [in_new]: concurrent
+     transactions that read something in [tx]'s update set (edge
+     u -> tx). [out_new]: concurrent committed transactions that
+     installed, after [tx]'s snapshot, a version of something [tx] read
+     (edge tx -> w) — such a version is newer than every live snapshot's
+     minimum, so its installer is still retained. Both are consumed
+     only as sets, so visiting a transaction twice is harmless. *)
+  let exists_in_new tx ~snap p =
+    List.exists
+      (fun x -> Mvstore.exists_concurrent_reader st x ~snap ~excluding:tx p)
+      update_vars.(tx)
+  in
+  let exists_out_new tx ~snap final_var final_kind p =
+    let newer x =
+      Mvstore.exists_newer_writer st x ~than:snap ~excluding:tx (fun w ->
+          match Mvstore.retained_txn st w with Some u -> p u | None -> false)
     in
-    let conc = Mvstore.concurrent st ~snap ~excluding:tx in
-    let in_new =
-      List.filter
-        (fun (u : Mvstore.txn) ->
-          List.exists
-            (fun x -> Names.Vset.mem x u.Mvstore.reads)
-            update_vars.(tx))
-        conc
-    in
-    let out_new =
-      List.filter
-        (fun (u : Mvstore.txn) ->
-          u.Mvstore.commit_ts <> None
-          && List.exists
-               (fun x -> List.mem_assoc x u.Mvstore.writes)
-               reads)
-        conc
-    in
-    (in_new, out_new)
+    (final_kind = Op.Read && newer final_var)
+    ||
+    match Mvstore.live_txn st tx with
+    | Some t -> Names.Vset.exists newer t.Mvstore.reads
+    | None -> false
+  in
+  (* the members of an [exists_*] set, for the paths that need edges *)
+  let members exists =
+    let acc = ref [] in
+    ignore (exists (fun u -> acc := u :: !acc; false));
+    !acc
   in
   let dangerous tx final_var final_kind =
-    let in_new, out_new = new_edges tx final_var final_kind in
+    let snap = snap_of tx in
+    let in_new = exists_in_new tx ~snap in
+    let out_new = exists_out_new tx ~snap final_var final_kind in
     let in_flag, out_flag =
       match Mvstore.live_txn st tx with
       | Some t -> (t.Mvstore.in_rw, t.Mvstore.out_rw)
       | None -> (false, false)
     in
+    let any _ = true in
     let pivot =
-      (in_flag || in_new <> []) && (out_flag || out_new <> [])
+      (in_flag || in_new any) && (out_flag || out_new any)
       (* tx itself completes the structure *)
-      || List.exists (fun (u : Mvstore.txn) -> u.Mvstore.in_rw) in_new
+      || in_new (fun (u : Mvstore.txn) -> u.Mvstore.in_rw)
       (* a neighbour that already had an in-edge gains its out-edge *)
-      || List.exists (fun (u : Mvstore.txn) -> u.Mvstore.out_rw) out_new
+      || out_new (fun (u : Mvstore.txn) -> u.Mvstore.out_rw)
       (* a committed neighbour that already had an out-edge gains in *)
     in
     if not pivot then None
     else
+      let edge_in (u : Mvstore.txn) = (u.Mvstore.id, tx) in
+      let edge_out (u : Mvstore.txn) = (tx, u.Mvstore.id) in
       let extra =
-        List.map (fun (u : Mvstore.txn) -> (u.Mvstore.id, tx)) in_new
-        @ List.map (fun (u : Mvstore.txn) -> (tx, u.Mvstore.id)) out_new
+        List.map edge_in (members in_new) @ List.map edge_out (members out_new)
       in
       Some (shadow_cyclic ~extra)
   in
@@ -165,11 +168,7 @@ let create policy ?(sink = Obs.Sink.null) ~syntax () =
       List.iter
         (fun w ->
           t.Mvstore.out_rw <- true;
-          (match
-             List.find_opt
-               (fun (u : Mvstore.txn) -> u.Mvstore.id = w)
-               (Mvstore.concurrent st ~snap:t.Mvstore.snap ~excluding:tx)
-           with
+          (match Mvstore.retained_txn st w with
           | Some u -> u.Mvstore.in_rw <- true
           | None -> ());
           shadow_add tx w)
@@ -187,21 +186,20 @@ let create policy ?(sink = Obs.Sink.null) ~syntax () =
       if policy.ssi then begin
         (* persist the edges this commit creates so later commit
            attempts of the neighbours still see them *)
-        let in_new, out_new =
-          new_edges tx x (Syntax.kind syntax id)
-        in
+        let snap = t.Mvstore.snap in
+        let kind = Syntax.kind syntax id in
         List.iter
           (fun (u : Mvstore.txn) ->
             u.Mvstore.out_rw <- true;
             t.Mvstore.in_rw <- true;
             shadow_add u.Mvstore.id tx)
-          in_new;
+          (members (exists_in_new tx ~snap));
         List.iter
           (fun (u : Mvstore.txn) ->
             t.Mvstore.out_rw <- true;
             u.Mvstore.in_rw <- true;
             shadow_add tx u.Mvstore.id)
-          out_new
+          (members (exists_out_new tx ~snap x kind))
       end;
       ignore (Mvstore.commit st t)
     end

@@ -1,11 +1,16 @@
 (** Shared skeleton of the multi-version engines over {!Mvstore}.
 
     A policy record selects the admission rules; {!Mvcc}, {!Si} and
-    {!Ssi} are thin instantiations. Reads never delay (every verdict
-    is Grant or Abort); all abort decisions are pure queries made at
-    the transaction's final step, so the driver's retry protocol stays
-    sound. See the per-engine [.mli]s for semantics and emitted
-    events. *)
+    {!Ssi} are thin instantiations. All abort decisions are pure
+    queries made at the transaction's final step, over the store's
+    indexes (see {!Mvstore}), so asking again changes nothing.
+
+    The engines declare no wake epoch. The driver parks a delayed
+    request until the scheduler's epoch moves, and for an engine
+    without one it re-asks on its own grant-and-restart count. These
+    engines never render [Delay] — every verdict is Grant or Abort — so
+    nothing is ever parked and no epoch is needed. See the per-engine
+    [.mli]s for semantics and emitted events. *)
 
 type policy = {
   name : string;

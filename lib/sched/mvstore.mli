@@ -11,10 +11,20 @@
 
     The store is policy-free: first-committer-wins and the SSI
     rw-antidependency probes are exposed as pure queries
-    ({!ww_conflict}, {!newer_writers}, {!concurrent}) that the engines
-    combine into abort decisions. Version chains and retained
-    transaction records are garbage-collected as the minimum live
-    snapshot advances. *)
+    ({!ww_conflict}, {!newer_writers}, {!exists_concurrent_reader},
+    {!retained_txn})
+    that the engines combine into abort decisions.
+
+    Nothing is rescanned per commit. The store keeps four indexes: a
+    count of live transactions per snapshot timestamp with a
+    forward-only minimum, a timestamp-ordered queue of superseded
+    versions, a commit-ordered queue of retained committed records
+    (with an id table), and per variable the transactions that read
+    it. A commit costs amortised O(its writes + what it
+    garbage-collects); an abort, and a transaction's first read of a
+    variable, also walk that variable's reader list. The queries walk
+    only the newest-first prefix of a chain that is newer than the
+    snapshot, or one variable's readers. *)
 
 type version = { value : int; writer : int; ts : int }
 
@@ -46,12 +56,17 @@ val clock : t -> int
 (** Current commit timestamp (0 before any commit). *)
 
 val begin_txn : t -> int -> txn
-(** Start (or restart) transaction [id] with snapshot [clock st]. *)
+(** Start (or restart) transaction [id] with snapshot [clock st]. A
+    live incarnation of [id] is ended first, as by {!abort}. *)
 
 val live_txn : t -> int -> txn option
-val live_txns : t -> txn list
+
+val retained_txn : t -> int -> txn option
+(** The committed record of [id], while a live snapshot is still
+    concurrent with it: every installer of a version newer than some
+    live snapshot is retained. *)
+
 val snapshot : txn -> int
-val reads_of : txn -> Core.Names.var list
 val commit_ts : txn -> int option
 
 val read : t -> txn -> Core.Names.var -> int * int option
@@ -83,16 +98,29 @@ val newer_writers : t -> Core.Names.var -> than:int -> excluding:int -> int list
     than [than] — the targets of rw-antidependency edges out of a
     transaction that read it under snapshot [than]. Pure. *)
 
-val concurrent : t -> snap:int -> excluding:int -> txn list
-(** Transactions concurrent with a snapshot: all live ones plus
-    retained committed ones with [commit_ts > snap]. Pure. *)
+val exists_newer_writer :
+  t -> Core.Names.var -> than:int -> excluding:int -> (int -> bool) -> bool
+(** Whether [p] holds for the installer of some committed version of
+    the variable newer than [than], other than [excluding]; the
+    list-free form of {!newer_writers}. Pure. *)
+
+val exists_concurrent_reader :
+  t -> Core.Names.var -> snap:int -> excluding:int -> (txn -> bool) -> bool
+(** Whether [p] holds for some transaction other than [excluding] that
+    read the variable from the store (own-buffer hits excluded) and is
+    concurrent with snapshot [snap]: live, or committed after [snap].
+    Walks the variable's reader index only. [snap] must be at or above
+    {!min_live_snapshot} (the clock when nothing is live), as every
+    live transaction's snapshot is. Pure. *)
 
 val min_live_snapshot : t -> int option
 
 val commit : t -> txn -> int
 (** Install the buffered writes (newest value per variable) at a fresh
     commit timestamp, retain the record, garbage-collect, and return
-    the timestamp. The caller decides admissibility first. *)
+    the timestamp. The caller decides admissibility first. Raises
+    [Invalid_argument] unless the record is live. *)
 
 val abort : t -> txn -> unit
-(** Drop the live record (buffered writes and flags die with it). *)
+(** Drop the live record (buffered writes and flags die with it); a
+    no-op on a record that is no longer live. *)

@@ -1,13 +1,16 @@
 (* The multi-version scheduler family ([Sched.Mvcc]/[Si]/[Ssi]) against
    its independent oracles.
 
-   Three layers, mirroring ISSUE/DESIGN "Multi-version engines":
+   Four layers, mirroring README/DESIGN "Multi-version engines":
 
    - the version store itself, model-checked against a naive
      association-list store: snapshot reads return the newest committed
      version at or before the snapshot, first-committer-wins fires iff
-     an overlapping committed writer exists, and version chains are
-     pruned exactly down to what some live snapshot can still reach;
+     an overlapping committed writer exists, version chains are pruned
+     exactly down to what some live snapshot can still reach, and the
+     store's indexes (minimum live snapshot, retained records, the
+     readers concurrent with a snapshot) equal naive scans, across
+     restarts of live ids;
    - differential oracles on micro-universes: on pure-RMW universes
      every history SSI commits is Herbrand-serializable and checker-SER;
      on a curated typed universe SSI's fixpoint set strictly contains
@@ -19,7 +22,10 @@
    - a write-skew regression corpus: the classic anomalies are
      SI-accepted (checker: SI-consistent, SER-violating with a
      replaying witness) and SSI-aborted (restart, serializable
-     output). *)
+     output);
+   - decision pins: every MVCC/SI/SSI decision and emitted event on
+     seeded streams in the benchmark's three traffic shapes, against a
+     golden file. *)
 
 open Util
 open Core
@@ -90,52 +96,79 @@ let model_visible md x ~s_min =
     | Some v -> newer @ [ v ]
     | None -> newer)
 
-let mv_vars = [ "x"; "y"; "z" ]
+(* Installers of versions newer than [than] over the model's full,
+   unpruned chain. *)
+let model_newer_writers md x ~than ~excluding =
+  match List.assoc_opt x md.chains with
+  | None -> []
+  | Some vs ->
+    List.filter_map
+      (fun v -> if v.mts > than && v.mwriter <> excluding then Some v.mwriter
+        else None)
+      vs
+    |> List.sort_uniq Int.compare
+
+let mv_vars = [ "x"; "y"; "z"; "u"; "v"; "w" ]
+
+(* A model-side transaction: the store's record, its buffered writes
+   and the variables it read from the store. *)
+type mtxn = { rec_ : Mv.txn; buf : (Names.var * int) list ref;
+              mreads : Names.var list ref }
 
 let test_mvstore_model () =
+  (* the per-operation probes run millions of times: fail fast, without
+     Alcotest's per-check bookkeeping *)
+  let expect name b = if not b then Alcotest.fail name in
   for seed = 0 to 149 do
     let st = rng seed in
     let store = Mv.create () in
     let md = { chains = []; mclock = 0 } in
-    (* live transactions with their model-side buffered writes *)
     let live = ref [] in
+    (* committed transactions with their commit timestamps *)
+    let committed = ref [] in
     let next_id = ref 0 in
     let pick l = List.nth l (Random.State.int st (List.length l)) in
-    let buffered buf x = List.assoc_opt x !buf in
+    let start id =
+      let t = Mv.begin_txn store id in
+      check_int "snapshot pins the clock" (Mv.clock store) (Mv.snapshot t);
+      live := { rec_ = t; buf = ref []; mreads = ref [] } :: !live
+    in
+    let finish m = live := List.filter (fun u -> u != m) !live in
     for _op = 1 to 120 do
-      (match Random.State.int st 6 with
-      | 0 | 1 when List.length !live < 4 ->
+      (match Random.State.int st 8 with
+      | 0 | 1 when List.length !live < 8 ->
         let id = !next_id in
         incr next_id;
-        let t = Mv.begin_txn store id in
-        check_int "snapshot pins the clock" (Mv.clock store) (Mv.snapshot t);
-        live := (t, ref []) :: !live
+        start id
       | 2 when !live <> [] ->
         (* read: own buffer first, else newest committed <= snapshot *)
-        let t, buf = pick !live in
+        let m = pick !live in
+        let t = m.rec_ in
         let x = pick mv_vars in
         let value, writer = Mv.read store t x in
-        (match buffered buf x with
+        (match List.assoc_opt x !(m.buf) with
         | Some v ->
           check_int "own-buffer read" v value;
           check_true "own-buffer read has no writer" (writer = None)
         | None ->
+          if not (List.mem x !(m.mreads)) then m.mreads := x :: !(m.mreads);
           check_int "snapshot read value"
             (model_read_at md x ~snap:(Mv.snapshot t))
             value;
           check_true "snapshot read writer"
             (writer = model_writer_at md x ~snap:(Mv.snapshot t)))
       | 3 when !live <> [] ->
-        let t, buf = pick !live in
+        let m = pick !live in
         let x = pick mv_vars in
-        let v = Mv.write store t x in
-        buf := (x, v) :: List.remove_assoc x !buf
+        let v = Mv.write store m.rec_ x in
+        m.buf := (x, v) :: List.remove_assoc x !(m.buf)
       | 4 when !live <> [] ->
         (* commit attempt: the FCW probe must agree with the model;
            commit regardless (the store is policy-free — MVCC installs
            over conflicts, exercising lost updates too) *)
-        let t, buf = pick !live in
-        let vars = List.map fst !buf in
+        let m = pick !live in
+        let t = m.rec_ in
+        let vars = List.map fst !(m.buf) in
         let fired =
           Mv.ww_conflict store ~snap:(Mv.snapshot t)
             ~excluding:t.Mv.id vars
@@ -146,15 +179,39 @@ let test_mvstore_model () =
           = model_ww_conflict md ~snap:(Mv.snapshot t) ~excluding:t.Mv.id
               vars);
         let ts = Mv.commit store t in
-        let mts = model_commit md t.Mv.id !buf in
+        Alcotest.check_raises "a committed record cannot commit again"
+          (Invalid_argument "Mvstore.commit: transaction is not live")
+          (fun () -> ignore (Mv.commit store t));
+        let mts = model_commit md t.Mv.id !(m.buf) in
         check_int "commit timestamps advance in lockstep" mts ts;
         check_int "store clock follows" md.mclock (Mv.clock store);
-        live := List.filter (fun (u, _) -> u != t) !live
-      | _ when !live <> [] ->
-        let t, _ = pick !live in
-        Mv.abort store t;
-        live := List.filter (fun (u, _) -> u != t) !live
+        committed := (m, mts) :: !committed;
+        finish m
+      | 5 when !live <> [] ->
+        let m = pick !live in
+        Mv.abort store m.rec_;
+        finish m
+      | 6 when !live <> [] ->
+        (* restart without an abort: the live incarnation is replaced *)
+        let m = pick !live in
+        finish m;
+        start m.rec_.Mv.id
+      | 7 when !live <> [] ->
+        let m = pick !live in
+        Mv.abort store m.rec_;
+        finish m;
+        start m.rec_.Mv.id
       | _ -> ());
+      (* the minimum live snapshot is the naive minimum *)
+      let naive_min =
+        List.fold_left
+          (fun acc m ->
+            let s = Mv.snapshot m.rec_ in
+            match acc with None -> Some s | Some a -> Some (min a s))
+          None !live
+      in
+      check_true "min_live_snapshot = naive minimum"
+        (Mv.min_live_snapshot store = naive_min);
       (* pruning invariant: chains hold exactly what a live snapshot
          (or the present) can still reach *)
       let s_min =
@@ -173,6 +230,50 @@ let test_mvstore_model () =
           check_true "chain pruned to reachable versions"
             (got = model_visible md x ~s_min))
         mv_vars;
+      (* retained records: exactly the commits after [s_min] *)
+      List.iter
+        (fun (m, mts) ->
+          check_true "retained iff committed after s_min"
+            (match Mv.retained_txn store m.rec_.Mv.id with
+            | Some u -> u == m.rec_ && mts > s_min
+            | None -> mts <= s_min))
+        !committed;
+      (* probes over every live snapshot and the present: the version
+         queries agree with the model's full chains, and the readers
+         concurrent with the snapshot are a naive scan of the live and
+         committed transactions *)
+      List.iter
+        (fun (snap, excluding) ->
+          List.iter
+            (fun x ->
+              expect "newer_writers agrees with the full chain"
+                (Mv.newer_writers store x ~than:snap ~excluding
+                = model_newer_writers md x ~than:snap ~excluding);
+              let reader m =
+                m.rec_.Mv.id <> excluding && List.mem x !(m.mreads)
+              in
+              let naive =
+                List.filter_map
+                  (fun m -> if reader m then Some m.rec_ else None)
+                  !live
+                @ List.filter_map
+                    (fun (m, mts) ->
+                      if mts > snap && reader m then Some m.rec_ else None)
+                    !committed
+              in
+              let got = ref [] in
+              ignore
+                (Mv.exists_concurrent_reader store x ~snap ~excluding
+                   (fun t -> got := t :: !got; false));
+              expect "concurrent readers = naive scan"
+                (List.length !got = List.length naive
+                && List.for_all (fun t -> List.memq t naive) !got))
+            mv_vars;
+          expect "ww_conflict agrees with the full chain"
+            (Mv.ww_conflict store ~snap ~excluding mv_vars <> None
+            = model_ww_conflict md ~snap ~excluding mv_vars))
+        ((Mv.clock store, -1)
+        :: List.map (fun m -> (Mv.snapshot m.rec_, m.rec_.Mv.id)) !live);
       (* spot-check snapshot reads over every reachable timestamp *)
       List.iter
         (fun x ->
@@ -415,6 +516,130 @@ let test_corpus_si_accepts_ssi_aborts () =
       check_true (name ^ ": SSI output serializable") (ser_consistent h))
     corpus
 
+(* -------------------------------------------------------------- *)
+(* Decision pins                                                   *)
+(* -------------------------------------------------------------- *)
+
+(* Seeded streams in the three traffic shapes of the benchmark, scaled
+   down: [hot] (16x8 untyped, 80% of steps on v0), [tenants] (64x4 over
+   1024 variables in 4 key ranges, 5% cross-range) and [ledger] (32x6
+   typed accounts: 50% reads, 30% commuting bumps, 20% updates). *)
+let pin_hot st = Sim.Workload.hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8
+
+let pin_tenants st =
+  let pick range =
+    Printf.sprintf "v%d" ((256 * range) + Random.State.int st 256)
+  in
+  Syntax.make
+    (Array.init 64 (fun _ ->
+         let home = Random.State.int st 4 in
+         let cross = Random.State.float st 1.0 < 0.05 in
+         let at = Random.State.int st 4 in
+         let away = (home + 1 + Random.State.int st 3) mod 4 in
+         Array.init 4 (fun j -> pick (if cross && j = at then away else home))))
+
+let pin_ledger st =
+  let account () =
+    if Random.State.float st 1.0 < 0.2 then "a0"
+    else Printf.sprintf "a%d" (1 + Random.State.int st 63)
+  in
+  let op () =
+    let r = Random.State.float st 1.0 in
+    if r < 0.5 then Op.Read
+    else if r < 0.8 then if Random.State.bool st then Op.Incr else Op.Decr
+    else Op.Update
+  in
+  Syntax.make_typed
+    (Array.init 32 (fun _ ->
+         Array.init 6 (fun _ ->
+             let o = op () in
+             (o, account ()))))
+
+(* One line per (stream, engine): restarts, grants, the pivot aborts
+   (and how many of them were false positives), MD5s of the committed
+   schedule and of the full event trace, and the per-transaction abort
+   counts. Any change to a decision or to an emitted event moves at
+   least the event digest. Also returns the total false-positive
+   count. *)
+let mv_decisions () =
+  let buf = Buffer.create 4096 in
+  let false_total = ref 0 in
+  let md5 lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  let ints a = Array.to_list (Array.map string_of_int a) in
+  List.iter
+    (fun (shape, gen, seeds) ->
+      for seed = 1 to seeds do
+        let st = Random.State.make [| 0x5EED; seed |] in
+        let syntax = gen st in
+        let fmt = Syntax.format syntax in
+        let arrivals = Combin.Interleave.random st fmt in
+        List.iter
+          (fun (engine, mk) ->
+            let mem = Obs.Sink.Memory.create () in
+            let sink = Obs.Sink.Memory.sink mem in
+            let stats =
+              Sched.Driver.run ~sink (mk sink syntax) ~fmt ~arrivals
+            in
+            let events = List.map snd (Obs.Sink.Memory.events mem) in
+            let pivots, false_pos =
+              List.fold_left
+                (fun (p, f) -> function
+                  | Obs.Event.Pivot_refused { cyclic; _ } ->
+                    (p + 1, if cyclic then f else f + 1)
+                  | _ -> (p, f))
+                (0, 0) events
+            in
+            false_total := !false_total + false_pos;
+            Printf.bprintf buf
+              "%s seed=%d %s restarts=%d grants=%d pivots=%d false_pos=%d \
+               output=%s events=%s aborts=%s\n"
+              shape seed engine stats.Sched.Driver.restarts
+              stats.Sched.Driver.grants pivots false_pos
+              (md5 (ints (Schedule.to_interleaving stats.Sched.Driver.output)))
+              (md5 (List.map Obs.Event.to_string events))
+              (String.concat "," (ints stats.Sched.Driver.aborts)))
+          [ ("MVCC", mvcc); ("SI", si); ("SSI", ssi) ]
+      done)
+    [
+      ("hot", pin_hot, 4);
+      ("tenants", pin_tenants, 4);
+      (* pivots are rare and their sticky flags rarer still: many small
+         typed streams *)
+      ("ledger", pin_ledger, 128);
+    ];
+  (Buffer.contents buf, !false_total)
+
+(* The expectation lives in mv_decisions.expected next to this file; it
+   was generated before the store was indexed, and the index must leave
+   every line of it unchanged. *)
+let test_mv_decisions_golden () =
+  let got, false_pos = mv_decisions () in
+  let path =
+    (* dune runtest runs inside test/; dune exec from the root *)
+    if Sys.file_exists "mv_decisions.expected" then "mv_decisions.expected"
+    else "test/mv_decisions.expected"
+  in
+  let ic = open_in path in
+  let want = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  check_true "pins include a false-positive pivot abort" (false_pos > 0);
+  (* name the first diverging line rather than dumping both files *)
+  let rec first_diff i = function
+    | w :: ws, g :: gs ->
+      if w = g then first_diff (i + 1) (ws, gs) else Some (i, w, g)
+    | [], [] -> None
+    | w :: _, [] -> Some (i, w, "<missing>")
+    | [], g :: _ -> Some (i, "<missing>", g)
+  in
+  match
+    first_diff 1
+      (String.split_on_char '\n' want, String.split_on_char '\n' got)
+  with
+  | None -> ()
+  | Some (line, w, g) ->
+    Alcotest.failf "mv_decisions.expected line %d:\n  want %s\n  got  %s"
+      line w g
+
 let suite =
   [
     Alcotest.test_case "version store vs naive model" `Quick
@@ -433,4 +658,6 @@ let suite =
       test_ssi_false_positive_abort;
     Alcotest.test_case "write-skew corpus: SI accepts, SSI aborts" `Quick
       test_corpus_si_accepts_ssi_aborts;
+    Alcotest.test_case "decision pins (golden)" `Quick
+      test_mv_decisions_golden;
   ]
