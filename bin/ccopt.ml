@@ -366,22 +366,6 @@ let trace spec sched_names seed capacity samples json out =
   if json then print_endline (Sim.Trace_run.json_summary tspec runs)
   else Format.printf "%a" Sim.Trace_run.pp_summary runs
 
-(* JSON string escaping for the check report (same minimal set as the
-   other hand-emitted reports). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let witness_kind = function
   | Analysis.Checker.Cycle _ -> "cycle"
   | Analysis.Checker.Dangling_read _ -> "dangling-read"
@@ -396,8 +380,8 @@ let check_json ~source hist results =
     (Printf.sprintf
        "{\"schema_version\": %d, \"source\": \"%s\", \"label\": \"%s\", \
         \"txns\": %d, \"events\": %d, \"complete\": %b, \"results\": ["
-       Analysis.Report.schema_version (json_escape source)
-       (json_escape (Analysis.History.label hist))
+       Analysis.Report.schema_version (Obs.Json.escape source)
+       (Obs.Json.escape (Analysis.History.label hist))
        n
        (Analysis.History.n_events hist)
        (Analysis.History.complete hist));
@@ -421,7 +405,7 @@ let check_json ~source hist results =
              "{\"level\": \"%s\", \"verdict\": \"violation\", \"split\": \
               %b, \"witness\": {\"kind\": \"%s\", \"text\": \"%s\"}}"
              level split (witness_kind w)
-             (json_escape
+             (Obs.Json.escape
                 (Format.asprintf "%a"
                    (Analysis.Checker.pp_witness ~split ~n:nn)
                    w)))
@@ -430,7 +414,7 @@ let check_json ~source hist results =
           (Printf.sprintf
              "{\"level\": \"%s\", \"verdict\": \"unknown\", \"split\": %b, \
               \"reason\": \"%s\"}"
-             level split (json_escape reason))))
+             level split (Obs.Json.escape reason))))
     results;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -104,27 +104,12 @@ type json =
   | J_list of json list
   | J_obj of (string * json) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let rec emit b = function
   | J_bool v -> Buffer.add_string b (string_of_bool v)
   | J_int i -> Buffer.add_string b (string_of_int i)
   | J_str s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (escape s);
+    Buffer.add_string b (Obs.Json.escape s);
     Buffer.add_char b '"'
   | J_list l ->
     Buffer.add_char b '[';

@@ -341,6 +341,25 @@ module Acyclic = struct
     bound = max_int
     || (bound >= g.ord.(target) && dfs g ep bound target)
 
+  let rec mark_lists g ep ~excluding ~target bound lists among k =
+    if k = Array.length among || bound = max_int then bound
+    else
+      mark_lists g ep ~excluding ~target
+        (mark_sources g ep ~excluding ~target bound lists.(among.(k)))
+        lists among (k + 1)
+
+  let closes_cycle_among ?(excluding = -1) g ~lists ~among ~target =
+    check g target;
+    g.epoch <- g.epoch + 1;
+    let ep = g.epoch in
+    let bound =
+      if Array.length among = 1 then
+        mark_sources g ep ~excluding ~target (-1) lists.(among.(0))
+      else mark_lists g ep ~excluding ~target (-1) lists among 0
+    in
+    bound = max_int
+    || (bound >= g.ord.(target) && dfs g ep bound target)
+
   let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 
   let insert g u v =

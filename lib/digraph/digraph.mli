@@ -125,6 +125,17 @@ module Acyclic : sig
       variable's accessor list, which may include the requester). Pure
       query: the graph is never modified, and nothing is allocated. *)
 
+  val closes_cycle_among :
+    ?excluding:int ->
+    t ->
+    lists:int list array ->
+    among:int array ->
+    target:int ->
+    bool
+  (** {!closes_cycle_any} over the union of the source lists
+      [lists.(among.(k))], without building it: one search, nothing
+      allocated. *)
+
   val remove_edge : t -> int -> int -> unit
 
   val remove_vertex : t -> int -> unit

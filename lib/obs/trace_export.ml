@@ -173,20 +173,6 @@ let entries events =
 
 (* ---------- JSON rendering ---------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let chrome_of_entries es =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"displayTimeUnit\": \"ms\",\n";
@@ -197,7 +183,7 @@ let chrome_of_entries es =
         (Printf.sprintf
            "    { \"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \
             \"ts\": %.3f, \"pid\": %d, \"tid\": %d"
-           (escape e.name) (escape e.cat) e.ph e.ts e.pid e.tid);
+           (Json.escape e.name) (Json.escape e.cat) e.ph e.ts e.pid e.tid);
       (match e.args with
       | [] -> ()
       | args ->
@@ -207,8 +193,8 @@ let chrome_of_entries es =
             if j > 0 then Buffer.add_string b ", ";
             Buffer.add_string b
               (match v with
-              | Int n -> Printf.sprintf "\"%s\": %d" (escape k) n
-              | Str s -> Printf.sprintf "\"%s\": \"%s\"" (escape k) (escape s)))
+              | Int n -> Printf.sprintf "\"%s\": %d" (Json.escape k) n
+              | Str s -> Printf.sprintf "\"%s\": \"%s\"" (Json.escape k) (Json.escape s)))
           args;
         Buffer.add_string b " }");
       Buffer.add_string b

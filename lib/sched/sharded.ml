@@ -21,23 +21,15 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
             !acc
           end)
   in
-  (* Per-shard replicas of the {!Sgt} state, over shard-local ids:
-     accessor history per shard-local variable, activity flags, the
-     incremental conflict graph, and the removal version stamp backing
-     the delay cache. *)
-  let history =
-    Array.init shards (fun s -> Array.make (max 1 p.Partition.n_lvars.(s)) [])
-  in
-  let active =
+  (* One admission core per shard, over shard-local transaction and
+     variable ids; its events carry global transaction ids. *)
+  let core =
     Array.init shards (fun s ->
-        Array.make (Array.length p.Partition.members.(s)) false)
+        let members = p.Partition.members.(s) in
+        Sgt_core.create ~sink ~label:members ~n:(Array.length members)
+          ~conflicts:(Sgt_core.same_slot (max 1 p.Partition.n_lvars.(s)))
+          ())
   in
-  let graph =
-    Array.init shards (fun s ->
-        Digraph.Acyclic.create (Array.length p.Partition.members.(s)))
-  in
-  let version = Array.make shards 0 in
-  let completed = Array.make n false in
   (* The coordinator: a summary graph over coordinator-local ids of the
      cross-shard transactions, materialised only when any exist — on an
      all-single-shard workload nothing below ever touches it. *)
@@ -46,61 +38,43 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     else Some (Digraph.Acyclic.create p.Partition.n_cross)
   in
   let cversion = ref 0 in
-  (* The wake epoch: bumped wherever a shard version or [cversion]
-     moves, so an unchanged epoch means every cache key below is
-     unchanged too. *)
+  (* The wake epoch: moved by every removal in a shard core and every
+     coordinator removal. *)
   let epoch = ref 0 in
-  (* cross-shard transactions present in each shard, as (shard-local id,
-     coordinator id, global id): the only candidate endpoints of summary
-     edges discovered in that shard *)
-  let cross_in_shard =
-    Array.init shards (fun s ->
-        let acc = ref [] in
-        let mem = p.Partition.members.(s) in
-        for l = Array.length mem - 1 downto 0 do
-          let g = mem.(l) in
-          if p.Partition.cross.(g) then
-            acc := (l, p.Partition.cross_id.(g), g) :: !acc
-        done;
-        Array.of_list !acc)
+  (* cross-shard transactions present in each shard, as shard-local
+     ids and the matching coordinator ids: the only candidate endpoints
+     of summary edges discovered in that shard *)
+  let cross_local =
+    Array.map
+      (fun mem ->
+        Array.of_list
+          (List.filter
+             (fun l -> p.Partition.cross.(mem.(l)))
+             (List.init (Array.length mem) Fun.id)))
+      p.Partition.members
   in
-  (* Delay cache, as in {!Sgt} but keyed on both the step's shard
-     version and the coordinator version: a Delay verdict stays valid
-     until a removal in the owning shard (abort or prune there) or a
-     coordinator removal (abort of a cross transaction) — the only
+  let cross_coord =
+    Array.mapi
+      (fun s ->
+        Array.map (fun l -> p.Partition.cross_id.(p.Partition.members.(s).(l))))
+      cross_local
+  in
+  (* The delay cache of each shard core, plus the coordinator version:
+     a Delay verdict stays valid until a removal in the owning shard or
+     a coordinator removal (abort of a cross transaction) — the only
      events that can shrink the graphs a refusal was computed on. *)
-  let blocked_idx = Array.make n (-1) in
-  let blocked_sv = Array.make n (-1) in
   let blocked_cv = Array.make n (-1) in
   (* Candidate summary edges of granting step (tx, idx) in shard [s]:
-     the new intra-shard edges are [u -> l] for prior accessors [u], so
-     every new intra-shard path runs [a ~> u -> l ~> b]. Sources A are
-     the cross transactions of [s] reaching some accessor (tx itself
-     excluded: its only new paths are self-loops through [l]); targets B
-     are the cross transactions reachable from [l], plus tx itself when
-     cross. Both reachability queries reuse [closes_cycle_any] as a
-     pure multi-source reachability test. *)
+     sources A are the cross transactions of [s] where a new
+     intra-shard path starts, targets B those where one ends, plus tx
+     itself when cross (tx is excluded from A: its only new paths are
+     self-loops through its own vertex). *)
   let summary_candidates s l lv tx =
-    let srcs = history.(s).(lv) in
-    if srcs = [] then ([], [])
-    else begin
-      let a = ref [] and b = ref [] in
-      Array.iter
-        (fun (lc, cc, g) ->
-          if g <> tx && active.(s).(lc) then begin
-            if
-              Digraph.Acyclic.closes_cycle_any ~excluding:l graph.(s)
-                ~sources:srcs ~target:lc
-            then a := cc :: !a;
-            if
-              Digraph.Acyclic.closes_cycle_any graph.(s) ~sources:[ lc ]
-                ~target:l
-            then b := cc :: !b
-          end)
-        cross_in_shard.(s);
-      if p.Partition.cross.(tx) then b := p.Partition.cross_id.(tx) :: !b;
-      (!a, !b)
-    end
+    let aa, bb =
+      Sgt_core.new_paths core.(s) l lv ~vertices:cross_local.(s)
+        ~ids:cross_coord.(s)
+    in
+    (aa, if p.Partition.cross.(tx) then p.Partition.cross_id.(tx) :: bb else bb)
   in
   (* Would adding every candidate edge close a cycle in the summary
      graph? Tested per target over the common source set A: a cycle
@@ -124,26 +98,17 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
     let s = p.Partition.shard_of_step.(tx).(idx) in
-    if
-      blocked_idx.(tx) = idx
-      && blocked_sv.(tx) = version.(s)
-      && blocked_cv.(tx) = !cversion
-    then Scheduler.Delay
+    let c = core.(s) in
+    let l = p.Partition.local_id.(s).(tx) in
+    if Sgt_core.delayed c l idx && blocked_cv.(tx) = !cversion then
+      Scheduler.Delay
     else begin
-      let l = p.Partition.local_id.(s).(tx) in
       let lv = p.Partition.lvar_of_step.(tx).(idx) in
       if Obs.Sink.on sink then
         Obs.Sink.record sink (Obs.Event.Shard_routed { tx; idx; shard = s });
-      if
-        Digraph.Acyclic.closes_cycle_any ~excluding:l graph.(s)
-          ~sources:history.(s).(lv) ~target:l
-        || summary_refused s l lv tx
-      then begin
-        blocked_idx.(tx) <- idx;
-        blocked_sv.(tx) <- version.(s);
+      if Sgt_core.closes_cycle c l lv || summary_refused s l lv tx then begin
+        Sgt_core.refuse c l idx;
         blocked_cv.(tx) <- !cversion;
-        if Obs.Sink.on sink then
-          Obs.Sink.record sink (Obs.Event.Cycle_refused { tx; idx });
         Scheduler.Delay
       end
       else begin
@@ -159,97 +124,54 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
       end
     end
   in
-  let forget s l =
-    version.(s) <- version.(s) + 1;
-    incr epoch;
-    let h = history.(s) in
-    for v = 0 to Array.length h - 1 do
-      if List.memq l h.(v) then h.(v) <- List.filter (fun u -> u <> l) h.(v)
-    done;
-    active.(s).(l) <- false;
-    Digraph.Acyclic.remove_vertex graph.(s) l
-  in
-  (* Shard-local pruning, restricted to single-shard transactions: for
-     them a zero in-degree in the home shard is a zero global in-degree,
-     and a completed transaction never gains incoming edges, so they are
-     sources forever — exactly the {!Sgt} argument. A cross-shard
-     transaction is never pruned: its shard-local in-degree says nothing
-     about its edges elsewhere, and dropping its history entries would
-     lose summary paths. Cascades stay inside the shard (removed edges
-     are intra-shard). *)
-  let rec prune s =
-    let mem = p.Partition.members.(s) in
-    let ns = Array.length mem in
-    let victim = ref (-1) in
-    let l = ref 0 in
-    while !victim < 0 && !l < ns do
-      let g = mem.(!l) in
-      if
-        completed.(g)
-        && (not p.Partition.cross.(g))
-        && active.(s).(!l)
-        && Digraph.Acyclic.in_degree graph.(s) !l = 0
-      then victim := !l;
-      incr l
-    done;
-    if !victim >= 0 then begin
-      forget s !victim;
-      prune s
-    end
-  in
-  let add_shard_edges s tx l srcs =
-    List.iter
-      (fun u ->
-        if u <> l then begin
-          match Digraph.Acyclic.add_edge_acyclic graph.(s) u l with
-          | Ok () ->
-            if Obs.Sink.on sink then
-              Obs.Sink.record sink
-                (Obs.Event.Edge_added
-                   { src = p.Partition.members.(s).(u); dst = tx })
-          | Error _ ->
-            (* [attempt] vetted the whole batch; an edge cannot fail *)
-            assert false
-        end)
-      srcs
-  in
+  (* A repeat access creates no intra-shard path (see
+     {!Sgt_core.record}), so it adds no shard edge and no summary edge.
+     A fresh one discovers summary edges against the pre-extension
+     graph: the new paths are exactly A x B, and [attempt] vetted them
+     against the summary graph, so insertion cannot fail. *)
   let commit (id : Names.step_id) =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
     let s = p.Partition.shard_of_step.(tx).(idx) in
+    let c = core.(s) in
     let l = p.Partition.local_id.(s).(tx) in
     let lv = p.Partition.lvar_of_step.(tx).(idx) in
-    (* discover summary edges against the pre-extension graph: the new
-       paths are exactly A x B, and [attempt] vetted them against the
-       summary graph, so insertion cannot fail *)
-    (match cgraph with
-    | None -> ()
-    | Some cg ->
-      let aa, bb = summary_candidates s l lv tx in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              if a <> b then
-                match Digraph.Acyclic.add_edge_acyclic cg a b with
-                | Ok () -> ()
-                | Error _ -> assert false)
-            bb)
-        aa);
-    add_shard_edges s tx l history.(s).(lv);
-    if not (List.memq l history.(s).(lv)) then
-      history.(s).(lv) <- l :: history.(s).(lv);
-    active.(s).(l) <- true;
+    if Sgt_core.fresh c l lv then begin
+      (match cgraph with
+      | None -> ()
+      | Some cg ->
+        let aa, bb = summary_candidates s l lv tx in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                if a <> b then
+                  match Digraph.Acyclic.add_edge_acyclic cg a b with
+                  | Ok () -> ()
+                  | Error _ -> assert false)
+              bb)
+          aa);
+      Sgt_core.record c l lv
+    end;
+    (* Shard-local pruning is restricted to single-shard transactions:
+       for them a zero in-degree in the home shard is a zero global
+       in-degree. A cross-shard transaction is never marked completed:
+       its shard-local in-degree says nothing about its edges
+       elsewhere, and dropping its accessor entries would lose summary
+       paths. *)
     if idx = fmt.(tx) - 1 then begin
-      completed.(tx) <- true;
-      prune s
+      let before = Sgt_core.removals c in
+      if p.Partition.cross.(tx) then Sgt_core.prune c else Sgt_core.finish c l;
+      epoch := !epoch + Sgt_core.removals c - before
     end
   in
   let on_abort tx =
-    completed.(tx) <- false;
     for s = 0 to shards - 1 do
       let l = p.Partition.local_id.(s).(tx) in
-      if l >= 0 then forget s l
+      if l >= 0 then begin
+        Sgt_core.abort core.(s) l;
+        incr epoch
+      end
     done;
     match cgraph with
     | None -> ()
@@ -260,7 +182,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         incr epoch
       end
   in
-  (* No eager [detect], for the same reason as {!Sgt}: a refused request
+  (* No eager [detect], as in {!Sgt_core.scheduler}: a refused request
      dooms only its requester and blocks nobody, so lazy stall
      resolution is strictly cheaper in restarts. *)
   Scheduler.make ~name:"sharded" ~attempt ~commit ~on_abort

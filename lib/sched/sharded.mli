@@ -3,13 +3,13 @@ open Core
 (** The sharded serialization-graph-testing engine.
 
     Variables are partitioned across K shards ({!Partition}); each shard
-    runs the incremental SGT admission test of {!Sgt} on its own private
-    conflict graph over shard-local transaction ids. Because every
-    conflict edge joins two accessors of one variable, every edge lives
-    in exactly one shard, and a request from a {e single-shard}
-    transaction is decided entirely inside its home shard — no shared
-    state is touched, which is where the engine scales with the
-    partition instead of the global history.
+    runs its own {!Sgt_core} (one slot per shard-local variable) over
+    shard-local transaction ids. Because every conflict edge joins two
+    accessors of one variable, every edge lives in exactly one shard,
+    and a request from a {e single-shard} transaction is decided
+    entirely inside its home shard — no shared state is touched, which
+    is where the engine scales with the partition instead of the global
+    history.
 
     Only {e cross-shard} transactions escalate to the coordinator: a
     summary graph over the cross-shard transactions on the same
@@ -23,13 +23,14 @@ open Core
     edges are kept until an endpoint aborts (a conservative
     superset — stale paths can only over-delay, never admit a cycle).
 
-    Single-shard completed source transactions are pruned per shard
-    exactly as in {!Sgt}; cross-shard transactions are never pruned (a
+    Single-shard completed source transactions are pruned per shard by
+    their core; cross-shard transactions are never pruned (a
     shard-local in-degree of zero says nothing about their edges in
     other shards). With [shards = 1] — or on any workload where every
     transaction is single-shard — there are no cross-shard transactions,
     the coordinator is never consulted, and the engine's decisions,
-    statistics and fixpoint set coincide exactly with {!Sgt}'s. *)
+    statistics, fixpoint set and conflict-graph events coincide exactly
+    with {!Sgt}'s. *)
 
 val create :
   ?sink:Obs.Sink.t ->

@@ -691,20 +691,6 @@ let pp_twopc ppf (s : twopc_section) =
 
 (* ---------- JSON ---------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
   let b = Buffer.create 4096 in
   let add = Buffer.add_string b in
@@ -724,7 +710,7 @@ let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
         (Printf.sprintf
            "    { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \"m\": \
             %d, \"requests\": %d, \"seconds\": %.6f, \"req_per_sec\": %.1f }%s\n"
-           (json_escape r.scheduler) (json_escape r.mix) r.n r.m r.requests
+           (Obs.Json.escape r.scheduler) (Obs.Json.escape r.mix) r.n r.m r.requests
            r.seconds r.req_per_sec
            (if i = List.length rows - 1 then "" else ",")))
     rows;
@@ -734,7 +720,7 @@ let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
   List.iteri
     (fun i (mix, n, m, ratio) ->
       add
-        (Printf.sprintf "    \"%s/%dx%d\": %.2f%s\n" (json_escape mix) n m
+        (Printf.sprintf "    \"%s/%dx%d\": %.2f%s\n" (Obs.Json.escape mix) n m
            ratio
            (if i = List.length sp - 1 then "" else ",")))
     sp;
@@ -744,7 +730,7 @@ let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
   List.iteri
     (fun i (mix, n, m, k, ratio) ->
       add
-        (Printf.sprintf "    \"%s/%dx%d/k%d\": %.2f%s\n" (json_escape mix) n
+        (Printf.sprintf "    \"%s/%dx%d/k%d\": %.2f%s\n" (Obs.Json.escape mix) n
            m k ratio
            (if i = List.length ssp - 1 then "" else ",")))
     ssp;
@@ -769,7 +755,7 @@ let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
       (fun i (mix, n, m, q, d, ratio) ->
         add
           (Printf.sprintf "      \"%s/%dx%d/%s/d%d\": %.2f%s\n"
-             (json_escape mix) n m (json_escape q) d ratio
+             (Obs.Json.escape mix) n m (Obs.Json.escape q) d ratio
              (if i = List.length psp - 1 then "" else ",")))
       psp;
     add "    }\n";
@@ -816,7 +802,7 @@ let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
              "      { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \
               \"m\": %d, \"breadth\": %.4f, \"delays\": %d, \
               \"commute_passes\": %d, \"commute_skipped\": %d }%s\n"
-             (json_escape s.sem_scheduler) (json_escape s.sem_mix) s.sem_n
+             (Obs.Json.escape s.sem_scheduler) (Obs.Json.escape s.sem_mix) s.sem_n
              s.sem_m s.sem_breadth s.sem_delays s.commute_passes
              s.commute_skipped
              (if i = List.length sem - 1 then "" else ",")))
@@ -827,7 +813,7 @@ let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
     List.iteri
       (fun i (mix, n, m, ratio) ->
         add
-          (Printf.sprintf "      \"%s/%dx%d\": %.2f%s\n" (json_escape mix) n
+          (Printf.sprintf "      \"%s/%dx%d\": %.2f%s\n" (Obs.Json.escape mix) n
              m ratio
              (if i = List.length ssp - 1 then "" else ",")))
       ssp;
@@ -843,7 +829,7 @@ let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
            "      { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \"m\": \
             %d, \"breadth\": %.4f, \"commits\": %d, \"ww_aborts\": %d, \
             \"pivot_aborts\": %d, \"false_positive_aborts\": %d }%s\n"
-           (json_escape s.mv_scheduler) (json_escape s.mv_mix) s.mv_n s.mv_m
+           (Obs.Json.escape s.mv_scheduler) (Obs.Json.escape s.mv_mix) s.mv_n s.mv_m
            s.breadth s.mv_commits s.ww_aborts s.pivot_aborts
            s.false_positive_aborts
            (if i = List.length mv - 1 then "" else ",")))

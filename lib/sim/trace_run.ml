@@ -117,27 +117,13 @@ let pp_summary ppf runs =
 (* One version stamp across every machine-readable report. *)
 let schema_version = Analysis.Report.schema_version
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_summary spec runs =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf
        "{\"schema_version\": %d, \"syntax\": \"%s\", \"seed\": %d, \
         \"capacity\": %d, \"samples\": %d, \"schedulers\": ["
-       schema_version (json_escape spec.label) spec.seed spec.capacity
+       schema_version (Obs.Json.escape spec.label) spec.seed spec.capacity
        spec.samples);
   List.iteri
     (fun i r ->
@@ -156,7 +142,7 @@ let json_summary spec runs =
             \"execution\": %.1f, \"elapsed\": %.1f}, \"wait\": {\"count\": \
             %d, \"mean\": %.3f, \"p50\": %s, \"p99\": %s}, \"events\": %d, \
             \"dropped\": %d, \"trace_matches_stats\": %b}"
-           (json_escape r.name) (json_escape r.slug) r.zero_delay_fraction
+           (Obs.Json.escape r.name) (Obs.Json.escape r.slug) r.zero_delay_fraction
            r.stats.Sched.Driver.grants r.stats.Sched.Driver.delays
            r.stats.Sched.Driver.restarts r.stats.Sched.Driver.deadlocks
            r.stats.Sched.Driver.waiting

@@ -520,41 +520,6 @@ let test_corpus_si_accepts_ssi_aborts () =
 (* Decision pins                                                   *)
 (* -------------------------------------------------------------- *)
 
-(* Seeded streams in the three traffic shapes of the benchmark, scaled
-   down: [hot] (16x8 untyped, 80% of steps on v0), [tenants] (64x4 over
-   1024 variables in 4 key ranges, 5% cross-range) and [ledger] (32x6
-   typed accounts: 50% reads, 30% commuting bumps, 20% updates). *)
-let pin_hot st = Sim.Workload.hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8
-
-let pin_tenants st =
-  let pick range =
-    Printf.sprintf "v%d" ((256 * range) + Random.State.int st 256)
-  in
-  Syntax.make
-    (Array.init 64 (fun _ ->
-         let home = Random.State.int st 4 in
-         let cross = Random.State.float st 1.0 < 0.05 in
-         let at = Random.State.int st 4 in
-         let away = (home + 1 + Random.State.int st 3) mod 4 in
-         Array.init 4 (fun j -> pick (if cross && j = at then away else home))))
-
-let pin_ledger st =
-  let account () =
-    if Random.State.float st 1.0 < 0.2 then "a0"
-    else Printf.sprintf "a%d" (1 + Random.State.int st 63)
-  in
-  let op () =
-    let r = Random.State.float st 1.0 in
-    if r < 0.5 then Op.Read
-    else if r < 0.8 then if Random.State.bool st then Op.Incr else Op.Decr
-    else Op.Update
-  in
-  Syntax.make_typed
-    (Array.init 32 (fun _ ->
-         Array.init 6 (fun _ ->
-             let o = op () in
-             (o, account ()))))
-
 (* One line per (stream, engine): restarts, grants, the pivot aborts
    (and how many of them were false positives), MD5s of the committed
    schedule and of the full event trace, and the per-transaction abort
@@ -564,49 +529,41 @@ let pin_ledger st =
 let mv_decisions () =
   let buf = Buffer.create 4096 in
   let false_total = ref 0 in
-  let md5 lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
-  let ints a = Array.to_list (Array.map string_of_int a) in
-  List.iter
-    (fun (shape, gen, seeds) ->
-      for seed = 1 to seeds do
-        let st = Random.State.make [| 0x5EED; seed |] in
-        let syntax = gen st in
-        let fmt = Syntax.format syntax in
-        let arrivals = Combin.Interleave.random st fmt in
-        List.iter
-          (fun (engine, mk) ->
-            let mem = Obs.Sink.Memory.create () in
-            let sink = Obs.Sink.Memory.sink mem in
-            let stats =
-              Sched.Driver.run ~sink (mk sink syntax) ~fmt ~arrivals
-            in
-            let events = List.map snd (Obs.Sink.Memory.events mem) in
-            let pivots, false_pos =
-              List.fold_left
-                (fun (p, f) -> function
-                  | Obs.Event.Pivot_refused { cyclic; _ } ->
-                    (p + 1, if cyclic then f else f + 1)
-                  | _ -> (p, f))
-                (0, 0) events
-            in
-            false_total := !false_total + false_pos;
-            Printf.bprintf buf
-              "%s seed=%d %s restarts=%d grants=%d pivots=%d false_pos=%d \
-               output=%s events=%s aborts=%s\n"
-              shape seed engine stats.Sched.Driver.restarts
-              stats.Sched.Driver.grants pivots false_pos
-              (md5 (ints (Schedule.to_interleaving stats.Sched.Driver.output)))
-              (md5 (List.map Obs.Event.to_string events))
-              (String.concat "," (ints stats.Sched.Driver.aborts)))
-          [ ("MVCC", mvcc); ("SI", si); ("SSI", ssi) ]
-      done)
+  pin_streams
     [
       ("hot", pin_hot, 4);
       ("tenants", pin_tenants, 4);
       (* pivots are rare and their sticky flags rarer still: many small
          typed streams *)
       ("ledger", pin_ledger, 128);
-    ];
+    ]
+    (fun shape seed syntax arrivals ->
+      let fmt = Syntax.format syntax in
+      List.iter
+        (fun (engine, mk) ->
+          let mem = Obs.Sink.Memory.create () in
+          let sink = Obs.Sink.Memory.sink mem in
+          let stats = Sched.Driver.run ~sink (mk sink syntax) ~fmt ~arrivals in
+          let events = List.map snd (Obs.Sink.Memory.events mem) in
+          let pivots, false_pos =
+            List.fold_left
+              (fun (p, f) -> function
+                | Obs.Event.Pivot_refused { cyclic; _ } ->
+                  (p + 1, if cyclic then f else f + 1)
+                | _ -> (p, f))
+              (0, 0) events
+          in
+          false_total := !false_total + false_pos;
+          Printf.bprintf buf
+            "%s seed=%d %s restarts=%d grants=%d pivots=%d false_pos=%d \
+             output=%s events=%s aborts=%s\n"
+            shape seed engine stats.Sched.Driver.restarts
+            stats.Sched.Driver.grants pivots false_pos
+            (md5_lines
+               (int_list (Schedule.to_interleaving stats.Sched.Driver.output)))
+            (md5_lines (List.map Obs.Event.to_string events))
+            (String.concat "," (int_list stats.Sched.Driver.aborts)))
+        [ ("MVCC", mvcc); ("SI", si); ("SSI", ssi) ]);
   (Buffer.contents buf, !false_total)
 
 (* The expectation lives in mv_decisions.expected next to this file; it
@@ -614,31 +571,8 @@ let mv_decisions () =
    every line of it unchanged. *)
 let test_mv_decisions_golden () =
   let got, false_pos = mv_decisions () in
-  let path =
-    (* dune runtest runs inside test/; dune exec from the root *)
-    if Sys.file_exists "mv_decisions.expected" then "mv_decisions.expected"
-    else "test/mv_decisions.expected"
-  in
-  let ic = open_in path in
-  let want = really_input_string ic (in_channel_length ic) in
-  close_in ic;
   check_true "pins include a false-positive pivot abort" (false_pos > 0);
-  (* name the first diverging line rather than dumping both files *)
-  let rec first_diff i = function
-    | w :: ws, g :: gs ->
-      if w = g then first_diff (i + 1) (ws, gs) else Some (i, w, g)
-    | [], [] -> None
-    | w :: _, [] -> Some (i, w, "<missing>")
-    | [], g :: _ -> Some (i, "<missing>", g)
-  in
-  match
-    first_diff 1
-      (String.split_on_char '\n' want, String.split_on_char '\n' got)
-  with
-  | None -> ()
-  | Some (line, w, g) ->
-    Alcotest.failf "mv_decisions.expected line %d:\n  want %s\n  got  %s"
-      line w g
+  check_golden "mv_decisions.expected" got
 
 let suite =
   [

@@ -286,9 +286,37 @@ let test_shard_routed_events () =
         shard)
     routed
 
+(* At K=1 every shard edge is an SGT edge: sharded inserts exactly the
+   edges SGT does, in the same order, and refuses the same requests. A
+   repeat access by the same transaction adds none. *)
+let test_k1_same_edges () =
+  let graph_events syntax arrivals mk =
+    let mem = Obs.Sink.Memory.create () in
+    let sink = Obs.Sink.Memory.sink mem in
+    ignore
+      (Sched.Driver.run ~sink (mk sink) ~fmt:(Syntax.format syntax) ~arrivals);
+    List.filter
+      (function
+        | Obs.Event.Edge_added _ | Obs.Event.Cycle_refused _ -> true
+        | _ -> false)
+      (List.map snd (Obs.Sink.Memory.events mem))
+  in
+  pin_streams
+    [ ("hot", pin_hot, 20); ("ledger", pin_ledger, 20) ]
+    (fun shape seed syntax arrivals ->
+      let run = graph_events syntax arrivals in
+      let sgt = run (fun sink -> Sched.Sgt.create ~sink ~syntax ()) in
+      let sharded =
+        run (fun sink -> Sched.Sharded.create ~sink ~shards:1 ~syntax ())
+      in
+      let name what = Printf.sprintf "%s seed %d: %s" shape seed what in
+      check_true (name "edges present") (sgt <> []);
+      check_true (name "same Edge_added/Cycle_refused") (sgt = sharded))
+
 let suite =
   [
     Alcotest.test_case "partition invariants" `Quick test_partition;
+    Alcotest.test_case "K=1 graph events = SGT's" `Quick test_k1_same_edges;
     Alcotest.test_case "K=1 = SGT exhaustive to size 5" `Slow
       test_k1_exhaustive;
     Alcotest.test_case "disjoint = SGT at every K" `Quick test_disjoint_any_k;

@@ -98,3 +98,81 @@ let check_sweep ~name ~repro ~fails arrivals =
       name (Array.length small) (Array.length arrivals) (pp_arrivals small)
       (repro small)
   end
+
+(* ---------- seeded decision pins against a golden file ---------- *)
+
+(* Seeded streams in the three traffic shapes of the benchmark, scaled
+   down: [hot] (16x8 untyped, 80% of steps on v0), [tenants] (64x4 over
+   1024 variables in 4 key ranges, 5% cross-range) and [ledger] (32x6
+   typed accounts: 50% reads, 30% commuting bumps, 20% updates). *)
+let pin_hot st = Sim.Workload.hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8
+
+let pin_tenants st =
+  let pick range =
+    Printf.sprintf "v%d" ((256 * range) + Random.State.int st 256)
+  in
+  Core.Syntax.make
+    (Array.init 64 (fun _ ->
+         let home = Random.State.int st 4 in
+         let cross = Random.State.float st 1.0 < 0.05 in
+         let at = Random.State.int st 4 in
+         let away = (home + 1 + Random.State.int st 3) mod 4 in
+         Array.init 4 (fun j -> pick (if cross && j = at then away else home))))
+
+let pin_ledger st =
+  let account () =
+    if Random.State.float st 1.0 < 0.2 then "a0"
+    else Printf.sprintf "a%d" (1 + Random.State.int st 63)
+  in
+  let op () =
+    let r = Random.State.float st 1.0 in
+    if r < 0.5 then Core.Op.Read
+    else if r < 0.8 then if Random.State.bool st then Core.Op.Incr else Core.Op.Decr
+    else Core.Op.Update
+  in
+  Core.Syntax.make_typed
+    (Array.init 32 (fun _ ->
+         Array.init 6 (fun _ ->
+             let o = op () in
+             (o, account ()))))
+
+(* [pin_streams shapes f] calls [f shape seed syntax arrivals] on every
+   seeded stream of every [(shape, generator, seeds)] entry. *)
+let pin_streams shapes f =
+  List.iter
+    (fun (shape, gen, seeds) ->
+      for seed = 1 to seeds do
+        let st = Random.State.make [| 0x5EED; seed |] in
+        let syntax = gen st in
+        let arrivals = Combin.Interleave.random st (Core.Syntax.format syntax) in
+        f shape seed syntax arrivals
+      done)
+    shapes
+
+let md5_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+let int_list a = Array.to_list (Array.map string_of_int a)
+
+(* Compare [got] with the golden [file] next to the tests, naming the
+   first diverging line rather than dumping both. *)
+let check_golden file got =
+  let path =
+    (* dune runtest runs inside test/; dune exec from the root *)
+    if Sys.file_exists file then file else Filename.concat "test" file
+  in
+  let ic = open_in path in
+  let want = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rec first_diff i = function
+    | w :: ws, g :: gs ->
+      if w = g then first_diff (i + 1) (ws, gs) else Some (i, w, g)
+    | [], [] -> None
+    | w :: _, [] -> Some (i, w, "<missing>")
+    | [], g :: _ -> Some (i, "<missing>", g)
+  in
+  match
+    first_diff 1
+      (String.split_on_char '\n' want, String.split_on_char '\n' got)
+  with
+  | None -> ()
+  | Some (line, w, g) ->
+    Alcotest.failf "%s line %d:\n  want %s\n  got  %s" file line w g
