@@ -164,6 +164,54 @@ let verify k twopc =
       Optimality.Verify.pp_report r3
   end
 
+let read_file file =
+  let ic = open_in_bin file in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* The well-formedness gate of every emitted report: the printed text
+   must parse back. *)
+let json_text what v =
+  let s = Obs.Json.to_string v in
+  match Obs.Json.parse s with
+  | Ok _ -> s
+  | Error e ->
+    Printf.eprintf "ccopt: internal error: %s emitted malformed JSON: %s\n"
+      what (Obs.Json.error_to_string e);
+    exit 1
+
+let write_out out body =
+  match out with
+  | None -> print_string body
+  | Some file ->
+    let oc = open_out file in
+    output_string oc body;
+    close_out oc;
+    Printf.printf "wrote %s\n" file
+
+(* A bench report, to stdout or to [--out FILE]. Regenerating a JSON
+   file in place keeps the top-level members this run does not emit
+   (opt-in sections, other tools' keys); a FILE that does not parse is
+   named with the error position on stderr, then replaced. *)
+let write_report ~what ~json out v text =
+  if not json then write_out out text
+  else
+    let v =
+      match out with
+      | None -> v
+      | Some file -> (
+        match read_file file with
+        | exception Sys_error _ -> v
+        | old -> (
+          match Obs.Json.parse old with
+          | Ok existing -> Obs.Json.merge ~existing v
+          | Error e ->
+            Printf.eprintf "%s:%s\n" file (Obs.Json.error_to_string e);
+            v))
+    in
+    write_out out (json_text what v ^ "\n")
+
 let analyze spec sched_spec policy_name certify_name k json =
   let syntax = parse_syntax spec in
   let req =
@@ -172,7 +220,8 @@ let analyze spec sched_spec policy_name certify_name k json =
       ?policy:policy_name ?certify:certify_name ~k syntax
   in
   let report = Analysis.Analyze.run req in
-  if json then print_endline (Analysis.Report.to_json report)
+  if json then
+    print_endline (json_text "analyze" (Analysis.Report.to_json report))
   else Format.printf "%a@." Analysis.Report.pp report;
   (* linter convention: error diagnostics fail the invocation *)
   if Analysis.Report.errors report > 0 then exit 1
@@ -206,12 +255,6 @@ let parse_ints spec =
         | Some k when k > 0 -> Some k
         | _ -> invalid_arg ("bad shard count " ^ s ^ " in --shards"))
     (String.split_on_char ',' spec)
-
-let read_file file =
-  let ic = open_in_bin file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 let bench sizes mixes n_vars streams min_time seed smoke json out shards
     shard_sizes mv_sizes mv_samples sem_sizes sem_samples parallel domains
@@ -265,46 +308,16 @@ let bench sizes mixes n_vars streams min_time seed smoke json out shards
       }
   in
   let rows = Sim.Sched_bench.run spec in
-  let mv = Sim.Sched_bench.mv_stats spec in
-  let sem = Sim.Sched_bench.sem_stats spec in
-  let twopc_sec = Sim.Sched_bench.twopc_stats spec in
-  let body =
-    if json then begin
-      let s =
-        Sim.Sched_bench.to_json ~mv ~semantic:sem ?twopc:twopc_sec spec rows
-      in
-      if not (Sim.Sched_bench.json_well_formed s) then begin
-        prerr_endline "ccopt: internal error: bench emitted malformed JSON";
-        exit 1
-      end;
-      s
-    end
-    else begin
-      let base =
-        Format.asprintf "%a%a%a" Sim.Sched_bench.pp_rows rows
-          Sim.Sched_bench.pp_sem_stats sem Sim.Sched_bench.pp_mv_stats mv
-      in
-      match twopc_sec with
-      | None -> base
-      | Some s -> base ^ Format.asprintf "%a@." Sim.Sched_bench.pp_twopc s
-    end
+  let sections =
+    Sim.Sched_bench.sections
+      ~mv:(Sim.Sched_bench.mv_stats spec)
+      ~semantic:(Sim.Sched_bench.sem_stats spec)
+      ?twopc:(Sim.Sched_bench.twopc_stats spec)
+      spec rows
   in
-  match out with
-  | None -> print_string body
-  | Some file ->
-    (* regenerating in place keeps top-level keys other tools added to
-       the file (e.g. a checker-throughput section) *)
-    let body =
-      if json then
-        match (try Some (read_file file) with Sys_error _ -> None) with
-        | Some existing -> Sim.Sched_bench.merge_preserving ~existing body
-        | None -> body
-      else body
-    in
-    let oc = open_out file in
-    output_string oc body;
-    close_out oc;
-    Printf.printf "wrote %s\n" file
+  write_report ~what:"bench" ~json out
+    (Sim.Sched_bench.to_json spec sections)
+    (Format.asprintf "%a" Sim.Sched_bench.pp sections)
 
 let trace spec sched_names seed capacity samples json out =
   let syntax = parse_syntax spec in
@@ -336,11 +349,12 @@ let trace spec sched_names seed capacity samples json out =
           bad := true;
           Printf.eprintf "ccopt trace: %s: %s\n" r.Sim.Trace_run.name d)
         (Sim.Trace_run.mismatches r);
-      if not (Sim.Sched_bench.json_well_formed r.Sim.Trace_run.chrome) then begin
+      match Obs.Json.parse (Obs.Json.to_string r.Sim.Trace_run.chrome) with
+      | Ok _ -> ()
+      | Error e ->
         bad := true;
-        Printf.eprintf "ccopt trace: %s: malformed Chrome trace JSON\n"
-          r.Sim.Trace_run.name
-      end)
+        Printf.eprintf "ccopt trace: %s: malformed Chrome trace JSON: %s\n"
+          r.Sim.Trace_run.name (Obs.Json.error_to_string e))
     runs;
   if !bad then exit 1;
   (match out with
@@ -350,7 +364,7 @@ let trace spec sched_names seed capacity samples json out =
       (fun r ->
         let file = prefix ^ "-" ^ r.Sim.Trace_run.slug ^ ".json" in
         let oc = open_out file in
-        output_string oc r.Sim.Trace_run.chrome;
+        output_string oc (Obs.Json.to_string r.Sim.Trace_run.chrome ^ "\n");
         close_out oc;
         Printf.printf "wrote %s\n" file;
         (* the machine-readable twin: an exact event log that [ccopt
@@ -363,7 +377,8 @@ let trace spec sched_names seed capacity samples json out =
         close_out oc;
         Printf.printf "wrote %s\n" efile)
       runs);
-  if json then print_endline (Sim.Trace_run.json_summary tspec runs)
+  if json then
+    print_endline (json_text "trace" (Sim.Trace_run.json_summary tspec runs))
   else Format.printf "%a" Sim.Trace_run.pp_summary runs
 
 let witness_kind = function
@@ -375,49 +390,50 @@ let witness_kind = function
 
 let check_json ~source hist results =
   let n = Analysis.History.n hist in
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema_version\": %d, \"source\": \"%s\", \"label\": \"%s\", \
-        \"txns\": %d, \"events\": %d, \"complete\": %b, \"results\": ["
-       Analysis.Report.schema_version (Obs.Json.escape source)
-       (Obs.Json.escape (Analysis.History.label hist))
-       n
-       (Analysis.History.n_events hist)
-       (Analysis.History.complete hist));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ", ";
-      let level = Analysis.Checker.level_name r.Analysis.Checker.level in
-      let split = r.Analysis.Checker.split in
-      (match r.Analysis.Checker.verdict with
-      | Analysis.Checker.Consistent order ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"level\": \"%s\", \"verdict\": \"consistent\", \"split\": \
-              %b, \"order\": [%s]}"
-             level split
-             (String.concat ", " (List.map string_of_int order)))
-      | Analysis.Checker.Violation w ->
-        let nn = if split then 2 * n else n in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"level\": \"%s\", \"verdict\": \"violation\", \"split\": \
-              %b, \"witness\": {\"kind\": \"%s\", \"text\": \"%s\"}}"
-             level split (witness_kind w)
-             (Obs.Json.escape
-                (Format.asprintf "%a"
-                   (Analysis.Checker.pp_witness ~split ~n:nn)
-                   w)))
-      | Analysis.Checker.Unknown reason ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"level\": \"%s\", \"verdict\": \"unknown\", \"split\": %b, \
-              \"reason\": \"%s\"}"
-             level split (Obs.Json.escape reason))))
-    results;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let result r =
+    let level = Analysis.Checker.level_name r.Analysis.Checker.level in
+    let split = r.Analysis.Checker.split in
+    let verdict v rest =
+      Obs.Json.(
+        Object
+          ([
+             ("level", String level);
+             ("verdict", String v);
+             ("split", Bool split);
+           ]
+          @ rest))
+    in
+    match r.Analysis.Checker.verdict with
+    | Analysis.Checker.Consistent order ->
+      verdict "consistent"
+        [ ("order", Obs.Json.Array (List.map (fun i -> Obs.Json.Int i) order)) ]
+    | Analysis.Checker.Violation w ->
+      let nn = if split then 2 * n else n in
+      let text =
+        Format.asprintf "%a" (Analysis.Checker.pp_witness ~split ~n:nn) w
+      in
+      verdict "violation"
+        [
+          ( "witness",
+            Obs.Json.(
+              Object
+                [ ("kind", String (witness_kind w)); ("text", String text) ])
+          );
+        ]
+    | Analysis.Checker.Unknown reason ->
+      verdict "unknown" [ ("reason", Obs.Json.String reason) ]
+  in
+  Obs.Json.(
+    Object
+      [
+        ("schema_version", Int Analysis.Report.schema_version);
+        ("source", String source);
+        ("label", String (Analysis.History.label hist));
+        ("txns", Int n);
+        ("events", Int (Analysis.History.n_events hist));
+        ("complete", Bool (Analysis.History.complete hist));
+        ("results", Array (List.map result results));
+      ])
 
 (* The level ladder up to and including a declared level — the default
    [--levels] for a [--scheduler] run: an engine is checked against
@@ -464,31 +480,9 @@ let check spec sched_spec sched_name seed capacity trace_file levels_spec
     in
     let bspec = { bspec with Sim.Check_bench.seed; levels } in
     let rows = Sim.Check_bench.run bspec in
-    let body =
-      if json then begin
-        let s = Sim.Check_bench.to_json bspec rows in
-        if not (Sim.Sched_bench.json_well_formed s) then begin
-          prerr_endline "ccopt: internal error: check emitted malformed JSON";
-          exit 1
-        end;
-        s
-      end
-      else Format.asprintf "%a" Sim.Check_bench.pp_rows rows
-    in
-    (match out with
-    | None -> print_string body
-    | Some file ->
-      let body =
-        if json then
-          match (try Some (read_file file) with Sys_error _ -> None) with
-          | Some existing -> Sim.Sched_bench.merge_preserving ~existing body
-          | None -> body
-        else body
-      in
-      let oc = open_out file in
-      output_string oc body;
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
+    write_report ~what:"check" ~json out
+      (Sim.Check_bench.to_json bspec rows)
+      (Format.asprintf "%a" Sim.Check_bench.pp_rows rows)
   | None ->
   let spec =
     match spec with
@@ -577,7 +571,8 @@ let check spec sched_spec sched_name seed capacity trace_file levels_spec
   in
   let results = List.map (Analysis.Checker.check ~budget hist) levels in
   let n = Analysis.History.n hist in
-  if json then print_endline (check_json ~source hist results)
+  if json then
+    print_endline (json_text "check" (check_json ~source hist results))
   else begin
     Printf.printf "history: %s (%d txns, %d events%s)\n"
       (Analysis.History.label hist)

@@ -21,7 +21,8 @@ let () =
 
   (* 2. The same report as JSON — what `ccopt analyze --json` emits. *)
   hr "the same report as JSON";
-  print_endline (Analysis.Report.to_json (Analysis.Analyze.run req));
+  print_endline
+    (Obs.Json.to_string (Analysis.Report.to_json (Analysis.Analyze.run req)));
 
   (* 3. The lock linter. 2PL on xy,yx is serializable but can deadlock;
      preclaiming trades that for less concurrency and no deadlock. *)

@@ -36,10 +36,12 @@ let all rule r = List.filter (fun d -> d.rule = rule) r.diagnostics
 
 (* ---------- text rendering ---------- *)
 
-let pp_severity ppf = function
-  | Error -> Format.pp_print_string ppf "error"
-  | Warning -> Format.pp_print_string ppf "warning"
-  | Info -> Format.pp_print_string ppf "info"
+let severity_string = function
+  | Error -> "error"
+  | Warning -> "warning"
+  | Info -> "info"
+
+let pp_severity ppf s = Format.pp_print_string ppf (severity_string s)
 
 let pp_tx ppf i = Format.fprintf ppf "T%d" (i + 1)
 
@@ -95,118 +97,63 @@ let pp ppf r =
 
 (* ---------- JSON rendering ---------- *)
 
-(* A tiny JSON printer: the repo deliberately has no JSON dependency
-   (DESIGN.md §7), and the schema is small enough to emit by hand. *)
-type json =
-  | J_bool of bool
-  | J_int of int
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
+let json_of_ints a = Obs.Json.Array (List.map (fun i -> Obs.Json.Int i) a)
 
-let rec emit b = function
-  | J_bool v -> Buffer.add_string b (string_of_bool v)
-  | J_int i -> Buffer.add_string b (string_of_int i)
-  | J_str s ->
-    Buffer.add_char b '"';
-    Buffer.add_string b (Obs.Json.escape s);
-    Buffer.add_char b '"'
-  | J_list l ->
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b ',';
-        emit b x)
-      l;
-    Buffer.add_char b ']'
-  | J_obj fields ->
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        emit b (J_str k);
-        Buffer.add_char b ':';
-        emit b v)
-      fields;
-    Buffer.add_char b '}'
+let json_of_steps ss =
+  Obs.Json.Array
+    (List.map (fun s -> Obs.Json.String (Names.step_to_string s)) ss)
 
-let json_of_ints a = J_list (List.map (fun i -> J_int i) a)
-
-let json_of_witness = function
-  | Cycle txs ->
-    J_obj [ ("kind", J_str "cycle"); ("transactions", json_of_ints txs) ]
+let json_of_witness w =
+  let kind k members =
+    Obs.Json.Object (("kind", Obs.Json.String k) :: members)
+  in
+  match w with
+  | Cycle txs -> kind "cycle" [ ("transactions", json_of_ints txs) ]
   | Progress (vec, prefix) ->
-    J_obj
+    kind "progress"
       [
-        ("kind", J_str "progress");
         ("vector", json_of_ints (Array.to_list vec));
         ("prefix", json_of_ints (Array.to_list prefix));
       ]
   | History h ->
-    J_obj
+    kind "history"
       [
-        ("kind", J_str "history");
         ( "interleaving",
           json_of_ints (Array.to_list (Schedule.to_interleaving h)) );
-        ( "steps",
-          J_list
-            (List.map
-               (fun s -> J_str (Names.step_to_string s))
-               (Array.to_list h)) );
+        ("steps", json_of_steps (Array.to_list h));
       ]
   | Locked_run il ->
-    J_obj
-      [
-        ("kind", J_str "locked-run");
-        ("interleaving", json_of_ints (Array.to_list il));
-      ]
-  | Steps ss ->
-    J_obj
-      [
-        ("kind", J_str "steps");
-        ("steps",
-         J_list (List.map (fun s -> J_str (Names.step_to_string s)) ss));
-      ]
-
-let severity_string = function
-  | Error -> "error"
-  | Warning -> "warning"
-  | Info -> "info"
+    kind "locked-run" [ ("interleaving", json_of_ints (Array.to_list il)) ]
+  | Steps ss -> kind "steps" [ ("steps", json_of_steps ss) ]
 
 let json_of_diagnostic d =
-  J_obj
+  Obs.Json.Object
     ([
-       ("rule", J_str d.rule);
-       ("severity", J_str (severity_string d.severity));
+       ("rule", Obs.Json.String d.rule);
+       ("severity", Obs.Json.String (severity_string d.severity));
        ("transactions", json_of_ints d.txs);
-       ( "steps",
-         J_list
-           (List.map (fun s -> J_str (Names.step_to_string s)) d.steps) );
+       ("steps", json_of_steps d.steps);
      ]
     @ (match d.witness with
       | Some w -> [ ("witness", json_of_witness w) ]
       | None -> [])
-    @ [ ("message", J_str d.message) ])
+    @ [ ("message", Obs.Json.String d.message) ])
 
 let schema_version = 1
 
 let to_json r =
-  let j =
-    J_obj
+  Obs.Json.(
+    Object
       [
-        ("schema_version", J_int schema_version);
-        ("target", J_str r.target);
-        ("diagnostics", J_list (List.map json_of_diagnostic r.diagnostics));
+        ("schema_version", Int schema_version);
+        ("target", String r.target);
+        ("diagnostics", Array (List.map json_of_diagnostic r.diagnostics));
         ( "summary",
-          J_obj
+          Object
             [
-              ("errors", J_int (errors r));
-              ("warnings", J_int (warnings r));
-              ("infos", J_int (count Info r));
-              ("ok", J_bool (errors r = 0));
+              ("errors", Int (errors r));
+              ("warnings", Int (warnings r));
+              ("infos", Int (count Info r));
+              ("ok", Bool (errors r = 0));
             ] );
-      ]
-  in
-  let b = Buffer.create 512 in
-  emit b j;
-  Buffer.contents b
+      ])

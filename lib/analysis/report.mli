@@ -74,6 +74,6 @@ val schema_version : int
     machine-readable report ([ccopt analyze], [ccopt trace],
     [ccopt check]); bumped when a consumer-visible key changes. *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.t
 (** JSON rendering; see the [ccopt analyze] section of README.md for the
-    schema. Deterministic key order, no trailing whitespace. *)
+    schema. Deterministic member order. *)

@@ -1,5 +1,3 @@
-type value = Int of int | Str of string
-
 type entry = {
   name : string;
   cat : string;
@@ -7,7 +5,7 @@ type entry = {
   ts : float;
   pid : int;
   tid : int;
-  args : (string * value) list;
+  args : (string * Json.t) list;
 }
 
 let lifecycle = "lifecycle"
@@ -17,6 +15,7 @@ let instant ?(cat = lifecycle) ~ts ~tid name args =
   { name; cat; ph = 'i'; ts; pid = 0; tid; args }
 
 let entries events =
+  let open Json in
   (* The DES can emit slightly out of global order (a decision at t may
      be recorded after an arrival at t' < t was processed); sorting
      stably by timestamp restores track monotonicity without touching
@@ -30,11 +29,11 @@ let entries events =
   in
   let meta =
     { name = "thread_name"; cat = "__metadata"; ph = 'M'; ts = 0.; pid = 0;
-      tid = 0; args = [ ("name", Str "scheduler") ] }
+      tid = 0; args = [ ("name", String "scheduler") ] }
     :: List.init (max_tx + 1) (fun tx ->
            { name = "thread_name"; cat = "__metadata"; ph = 'M'; ts = 0.;
              pid = 0; tid = tx + 1;
-             args = [ ("name", Str (Printf.sprintf "T%d" (tx + 1))) ] })
+             args = [ ("name", String (Printf.sprintf "T%d" (tx + 1))) ] })
   in
   let open_wait = Array.make (max_tx + 1) false in
   let open_exec = Array.make (max_tx + 1) false in
@@ -80,7 +79,7 @@ let entries events =
         push
           (instant ~ts ~tid:(tx + 1) "abort"
              [ ( "reason",
-                 Str
+                 String
                    (match reason with
                    | Event.Deadlock -> "deadlock"
                    | Event.Scheduler_abort -> "scheduler") ) ])
@@ -99,10 +98,10 @@ let entries events =
              [ ("step", Int idx); ("skipped", Int skipped) ])
       | Lock_acquired { tx; lock } ->
         push (instant ~cat:internal ~ts ~tid:(tx + 1) "lock"
-                [ ("var", Str lock) ])
+                [ ("var", String lock) ])
       | Lock_released { tx; lock } ->
         push (instant ~cat:internal ~ts ~tid:(tx + 1) "unlock"
-                [ ("var", Str lock) ])
+                [ ("var", String lock) ])
       | Wound { victim } ->
         push
           (instant ~cat:internal ~ts ~tid:0 "wound"
@@ -122,38 +121,39 @@ let entries events =
       | Version_read { tx; var; value } ->
         push
           (instant ~cat:internal ~ts ~tid:(tx + 1) "vread"
-             [ ("var", Str var); ("value", Int value) ])
+             [ ("var", String var); ("value", Int value) ])
       | Version_installed { tx; var; value } ->
         push
           (instant ~cat:internal ~ts ~tid:(tx + 1) "vinstall"
-             [ ("var", Str var); ("value", Int value) ])
+             [ ("var", String var); ("value", Int value) ])
       | Ww_refused { tx; var } ->
         push
           (instant ~cat:internal ~ts ~tid:(tx + 1) "ww-refused"
-             [ ("var", Str var) ])
+             [ ("var", String var) ])
       | Pivot_refused { tx; cyclic } ->
         push
           (instant ~cat:internal ~ts ~tid:(tx + 1) "pivot-refused"
-             [ ("cyclic", Str (if cyclic then "true" else "false")) ])
+             [ ("cyclic", String (if cyclic then "true" else "false")) ])
       | Twopc_sent { tx; src; dst; msg } ->
         push
           (instant ~cat:internal ~ts ~tid:0 "2pc-send"
              [ ("tx", Int (tx + 1)); ("src", Int src); ("dst", Int dst);
-               ("msg", Str (Event.payload_to_string msg)) ])
+               ("msg", String (Event.payload_to_string msg)) ])
       | Twopc_delivered { tx; src; dst; msg } ->
         push
           (instant ~cat:internal ~ts ~tid:0 "2pc-recv"
              [ ("tx", Int (tx + 1)); ("src", Int src); ("dst", Int dst);
-               ("msg", Str (Event.payload_to_string msg)) ])
+               ("msg", String (Event.payload_to_string msg)) ])
       | Twopc_decided { tx; node; commit } ->
         push
           (instant ~cat:internal ~ts ~tid:0 "2pc-decided"
              [ ("tx", Int (tx + 1)); ("node", Int node);
-               ("outcome", Str (if commit then "commit" else "abort")) ])
+               ("outcome", String (if commit then "commit" else "abort")) ])
       | Twopc_timeout { tx; node; timer } ->
         push
           (instant ~cat:internal ~ts ~tid:0 "2pc-timeout"
-             [ ("tx", Int (tx + 1)); ("node", Int node); ("timer", Str timer) ])
+             [ ("tx", Int (tx + 1)); ("node", Int node);
+               ("timer", String timer) ])
       | Node_crashed { tx; node } ->
         push
           (instant ~cat:internal ~ts ~tid:0 "node-crashed"
@@ -174,33 +174,22 @@ let entries events =
 (* ---------- JSON rendering ---------- *)
 
 let chrome_of_entries es =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"displayTimeUnit\": \"ms\",\n";
-  Buffer.add_string b "  \"traceEvents\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \
-            \"ts\": %.3f, \"pid\": %d, \"tid\": %d"
-           (Json.escape e.name) (Json.escape e.cat) e.ph e.ts e.pid e.tid);
-      (match e.args with
-      | [] -> ()
-      | args ->
-        Buffer.add_string b ", \"args\": { ";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_string b ", ";
-            Buffer.add_string b
-              (match v with
-              | Int n -> Printf.sprintf "\"%s\": %d" (Json.escape k) n
-              | Str s -> Printf.sprintf "\"%s\": \"%s\"" (Json.escape k) (Json.escape s)))
-          args;
-        Buffer.add_string b " }");
-      Buffer.add_string b
-        (if i = List.length es - 1 then " }\n" else " },\n"))
-    es;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let event e =
+    Json.Object
+      ([
+         ("name", Json.String e.name);
+         ("cat", Json.String e.cat);
+         ("ph", Json.String (String.make 1 e.ph));
+         ("ts", Json.fixed 3 e.ts);
+         ("pid", Json.Int e.pid);
+         ("tid", Json.Int e.tid);
+       ]
+      @ if e.args = [] then [] else [ ("args", Json.Object e.args) ])
+  in
+  Json.Object
+    [
+      ("displayTimeUnit", Json.String "ms");
+      ("traceEvents", Json.Array (List.map event es));
+    ]
 
 let chrome events = chrome_of_entries (entries events)

@@ -9,8 +9,6 @@
     [E] with the same name on the same track, and timestamps are
     non-decreasing per track. *)
 
-type value = Int of int | Str of string
-
 type entry = {
   name : string;
   cat : string;
@@ -18,7 +16,7 @@ type entry = {
   ts : float;
   pid : int;
   tid : int;
-  args : (string * value) list;
+  args : (string * Json.t) list;
 }
 
 val entries : (float * Event.t) list -> entry list
@@ -26,9 +24,9 @@ val entries : (float * Event.t) list -> entry list
     stable-sorted by timestamp. Unclosed spans (a trace cut short by a
     ring buffer) are closed at the final timestamp. *)
 
-val chrome : (float * Event.t) list -> string
-(** [entries] rendered as the JSON object
+val chrome : (float * Event.t) list -> Json.t
+(** [entries] as the JSON object
     [{"displayTimeUnit": ..., "traceEvents": [...]}]. Deterministic:
-    equal traces render byte-identically. *)
+    equal traces give equal values. *)
 
-val chrome_of_entries : entry list -> string
+val chrome_of_entries : entry list -> Json.t

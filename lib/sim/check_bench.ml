@@ -71,29 +71,34 @@ let run spec =
     Checker.levels
 
 let to_json spec rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n\
-       \  \"schema_version\": %d,\n\
-       \  \"benchmark\": \"ccopt check throughput\",\n\
-       \  \"unit\": \"events/sec\",\n\
-       \  \"config\": {\"txns\": %d, \"steps\": %d, \"sessions\": %d, \
-        \"n_vars\": %d, \"seed\": %d},\n\
-       \  \"results\": [\n"
-       Analysis.Report.schema_version spec.txns spec.steps spec.sessions
-       spec.n_vars spec.seed);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"level\": \"%s\", \"events\": %d, \"seconds\": %.3f, \
-            \"events_per_sec\": %.0f}"
-           r.level r.events r.seconds r.events_per_sec))
-    rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  Obs.Json.(
+    Object
+      [
+        ("schema_version", Int Analysis.Report.schema_version);
+        ("benchmark", String "ccopt check throughput");
+        ("unit", String "events/sec");
+        ( "config",
+          Object
+            [
+              ("txns", Int spec.txns);
+              ("steps", Int spec.steps);
+              ("sessions", Int spec.sessions);
+              ("n_vars", Int spec.n_vars);
+              ("seed", Int spec.seed);
+            ] );
+        ( "results",
+          Array
+            (List.map
+               (fun r ->
+                 Object
+                   [
+                     ("level", String r.level);
+                     ("events", Int r.events);
+                     ("seconds", fixed 3 r.seconds);
+                     ("events_per_sec", fixed 0 r.events_per_sec);
+                   ])
+               rows) );
+      ])
 
 let pp_rows fmt rows =
   Format.fprintf fmt "%-8s %12s %9s %14s@." "level" "events" "seconds"

@@ -161,8 +161,7 @@ let requests_of (s : Sched.Driver.stats) =
    between blocks masquerade as a speedup. One warm-up pass per
    scheduler, then rounds until the cell's time budget
    ([min_time] x number of schedulers, matching the sequential layout's
-   total) is spent. *)
-(* The generic core: each entry of [passes] runs one whole pass of its
+   total) is spent. Each entry of [passes] runs one whole pass of its
    configuration and returns the requests it served. *)
 let time_cells ~min_time passes =
   let k = Array.length passes in
@@ -184,51 +183,57 @@ let time_cells ~min_time passes =
   done;
   Array.init k (fun j -> (requests.(j), seconds.(j)))
 
-let time_cell_set ~min_time ~fmt ~arrivals mks =
-  time_cells ~min_time
-    (Array.map
-       (fun mk () ->
-         Array.fold_left
-           (fun acc a ->
-             acc + requests_of (Sched.Driver.run (mk ()) ~fmt ~arrivals:a))
-           0 arrivals)
-       mks)
-
-let run_section spec ~mixes ~sizes ~named_of_syntax =
+(* Every section builds its cells the same way: a fresh deterministic
+   rng per (mix, n, m) yields the syntax and the arrival streams that
+   every engine of the cell replays. A section's [salt] keeps its
+   streams apart from the other sections'. [capped] limits contended
+   mixes to n <= 256: a single hot/skewed run at n >= 512 takes
+   seconds (wound-wait churn on a near-complete conflict graph),
+   starving every other cell of its time budget, while disjoint cells
+   run at every size — that is the scaling story the sharded and
+   parallel sections measure. *)
+let in_cells spec ?(salt = [||]) ?(streams = spec.streams) ?(capped = false)
+    mixes sizes f =
   List.concat_map
     (fun mix ->
       List.concat_map
         (fun (n, m) ->
-          (* fresh deterministic rng per cell: every scheduler sees the
-             identical syntax and arrival streams *)
-          let st = Random.State.make [| spec.seed; Hashtbl.hash mix; n; m |] in
+          let st =
+            Random.State.make
+              (Array.append [| spec.seed; Hashtbl.hash mix; n; m |] salt)
+          in
           let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
           let fmt = Syntax.format syntax in
           let arrivals =
-            Array.init spec.streams (fun _ -> Combin.Interleave.random st fmt)
+            Array.init streams (fun _ -> Combin.Interleave.random st fmt)
           in
-          let named = named_of_syntax syntax in
-          let cells =
-            time_cell_set ~min_time:spec.min_time ~fmt ~arrivals
-              (Array.of_list (List.map snd named))
-          in
-          List.mapi
-            (fun j (name, _) ->
-              let requests, seconds = cells.(j) in
-              {
-                scheduler = name;
-                mix;
-                n;
-                m;
-                requests;
-                seconds;
-                req_per_sec =
-                  (if seconds > 0. then float_of_int requests /. seconds
-                   else 0.);
-              })
-            named)
-        sizes)
+          f ~mix ~n ~m ~syntax ~fmt ~arrivals)
+        (if capped && mix <> "disjoint" then
+           List.filter (fun (n, _) -> n <= 256) sizes
+         else sizes))
     mixes
+
+let row ~scheduler ~mix ~n ~m (requests, seconds) =
+  let req_per_sec =
+    if seconds > 0. then float_of_int requests /. seconds else 0.
+  in
+  { scheduler; mix; n; m; requests; seconds; req_per_sec }
+
+let run_section spec ?capped mixes sizes named_of_syntax =
+  in_cells spec ?capped mixes sizes (fun ~mix ~n ~m ~syntax ~fmt ~arrivals ->
+      let named = named_of_syntax syntax in
+      let pass mk () =
+        Array.fold_left
+          (fun acc a ->
+            acc + requests_of (Sched.Driver.run (mk ()) ~fmt ~arrivals:a))
+          0 arrivals
+      in
+      let cells =
+        time_cells ~min_time:spec.min_time
+          (Array.of_list (List.map (fun (_, mk) -> pass mk) named))
+      in
+      List.mapi (fun j (scheduler, _) -> row ~scheduler ~mix ~n ~m cells.(j))
+        named)
 
 (* The multi-version section pits single-version SGT against the MV
    family on typed read/update mixes — the workloads where snapshot
@@ -241,82 +246,6 @@ let mv_schedulers syntax =
     ("SSI", fun sink -> Sched.Ssi.create ~sink ~syntax ());
   ]
 
-let mv_timing syntax =
-  List.map
-    (fun (name, mk) -> (name, fun () -> mk Obs.Sink.null))
-    (mv_schedulers syntax)
-
-type mv_stat = {
-  mv_scheduler : string;
-  mv_mix : string;
-  mv_n : int;
-  mv_m : int;
-  breadth : float;
-  mv_commits : int;
-  ww_aborts : int;
-  pivot_aborts : int;
-  false_positive_aborts : int;
-}
-
-let mv_stats spec =
-  List.concat_map
-    (fun mix ->
-      List.concat_map
-        (fun (n, m) ->
-          (* same cell discipline as the timing sections: one
-             deterministic syntax and arrival-stream set per cell,
-             shared by every engine *)
-          let st =
-            Random.State.make [| spec.seed; Hashtbl.hash mix; n; m; 0x6d76 |]
-          in
-          let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
-          let fmt = Syntax.format syntax in
-          let arrivals =
-            Array.init spec.streams (fun _ -> Combin.Interleave.random st fmt)
-          in
-          List.map
-            (fun (name, mk) ->
-              let breadth =
-                Sched.Driver.zero_delay_fraction
-                  (fun () -> mk Obs.Sink.null)
-                  ~fmt ~samples:spec.mv_samples ~seed:spec.seed
-              in
-              let ww = ref 0 and pivot = ref 0 in
-              let fp = ref 0 and commits = ref 0 in
-              let sink =
-                {
-                  Obs.Sink.now = 0.;
-                  enabled = true;
-                  emit =
-                    (fun _ e ->
-                      match e with
-                      | Obs.Event.Ww_refused _ -> incr ww
-                      | Obs.Event.Pivot_refused { cyclic; _ } ->
-                        incr pivot;
-                        if not cyclic then incr fp
-                      | Obs.Event.Committed _ -> incr commits
-                      | _ -> ());
-                }
-              in
-              Array.iter
-                (fun a ->
-                  ignore (Sched.Driver.run ~sink (mk sink) ~fmt ~arrivals:a))
-                arrivals;
-              {
-                mv_scheduler = name;
-                mv_mix = mix;
-                mv_n = n;
-                mv_m = m;
-                breadth;
-                mv_commits = !commits;
-                ww_aborts = !ww;
-                pivot_aborts = !pivot;
-                false_positive_aborts = !fp;
-              })
-            (mv_schedulers syntax))
-        spec.mv_sizes)
-    spec.mv_mixes
-
 (* The commutativity section pits rw-SGT against the semantic engine on
    typed counter mixes — identical machinery, the only delta being the
    {!Core.Commute} filter on conflict edges. *)
@@ -326,81 +255,63 @@ let sem_schedulers syntax =
     ("semantic", fun sink -> Sched.Semantic.create ~sink ~syntax ());
   ]
 
-let sem_timing syntax =
+let untraced engines syntax =
   List.map
     (fun (name, mk) -> (name, fun () -> mk Obs.Sink.null))
-    (sem_schedulers syntax)
+    (engines syntax)
 
-type sem_stat = {
-  sem_scheduler : string;
-  sem_mix : string;
-  sem_n : int;
-  sem_m : int;
-  sem_breadth : float;
-  sem_delays : int;
-  commute_passes : int;
-  commute_skipped : int;
+type admission = {
+  engine : string;
+  cell : string * int * int;
+  breadth : float;
+  tallies : (string * int) list;
 }
 
+(* The admission tables: per cell and engine, the Monte-Carlo breadth
+   and the named event tallies [count] keeps (by index into [names])
+   over one traced pass of the cell's streams. *)
+let admission spec ~salt ~samples ~names mixes sizes engines count =
+  in_cells spec ~salt:[| salt |] mixes sizes
+    (fun ~mix ~n ~m ~syntax ~fmt ~arrivals ->
+      List.map
+        (fun (engine, mk) ->
+          let breadth =
+            Sched.Driver.zero_delay_fraction
+              (fun () -> mk Obs.Sink.null)
+              ~fmt ~samples ~seed:spec.seed
+          in
+          let t = Array.make (List.length names) 0 in
+          let bump i k = t.(i) <- t.(i) + k in
+          let emit _ e = count bump e in
+          let sink = { Obs.Sink.now = 0.; enabled = true; emit } in
+          Array.iter
+            (fun a ->
+              ignore (Sched.Driver.run ~sink (mk sink) ~fmt ~arrivals:a))
+            arrivals;
+          let tallies = List.mapi (fun i k -> (k, t.(i))) names in
+          { engine; cell = (mix, n, m); breadth; tallies })
+        (engines syntax))
+
+let mv_stats spec =
+  admission spec ~salt:0x6d76 ~samples:spec.mv_samples
+    ~names:[ "commits"; "ww_aborts"; "pivot_aborts"; "false_positive_aborts" ]
+    spec.mv_mixes spec.mv_sizes mv_schedulers (fun bump -> function
+    | Obs.Event.Committed _ -> bump 0 1
+    | Obs.Event.Ww_refused _ -> bump 1 1
+    | Obs.Event.Pivot_refused { cyclic; _ } ->
+      bump 2 1;
+      if not cyclic then bump 3 1
+    | _ -> ())
+
 let sem_stats spec =
-  match (spec.sem_mixes, spec.sem_sizes) with
-  | [], _ | _, [] -> []
-  | mixes, sizes ->
-    List.concat_map
-      (fun mix ->
-        List.concat_map
-          (fun (n, m) ->
-            let st =
-              Random.State.make
-                [| spec.seed; Hashtbl.hash mix; n; m; 0x5e6d |]
-            in
-            let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
-            let fmt = Syntax.format syntax in
-            let arrivals =
-              Array.init spec.streams (fun _ ->
-                  Combin.Interleave.random st fmt)
-            in
-            List.map
-              (fun (name, mk) ->
-                let breadth =
-                  Sched.Driver.zero_delay_fraction
-                    (fun () -> mk Obs.Sink.null)
-                    ~fmt ~samples:spec.sem_samples ~seed:spec.seed
-                in
-                let passes = ref 0 and skipped = ref 0 and delays = ref 0 in
-                let sink =
-                  {
-                    Obs.Sink.now = 0.;
-                    enabled = true;
-                    emit =
-                      (fun _ e ->
-                        match e with
-                        | Obs.Event.Commute_pass { skipped = k; _ } ->
-                          incr passes;
-                          skipped := !skipped + k
-                        | _ -> ());
-                  }
-                in
-                Array.iter
-                  (fun a ->
-                    let s =
-                      Sched.Driver.run ~sink (mk sink) ~fmt ~arrivals:a
-                    in
-                    delays := !delays + s.Sched.Driver.delays)
-                  arrivals;
-                {
-                  sem_scheduler = name;
-                  sem_mix = mix;
-                  sem_n = n;
-                  sem_m = m;
-                  sem_breadth = breadth;
-                  sem_delays = !delays;
-                  commute_passes = !passes;
-                  commute_skipped = !skipped;
-                })
-              (sem_schedulers syntax))
-          sizes)
-      mixes
+  admission spec ~salt:0x5e6d ~samples:spec.sem_samples
+    ~names:[ "delays"; "commute_passes"; "commute_skipped" ]
+    spec.sem_mixes spec.sem_sizes sem_schedulers (fun bump -> function
+    | Obs.Event.Delayed _ -> bump 0 1
+    | Obs.Event.Commute_pass { skipped; _ } ->
+      bump 1 1;
+      bump 2 skipped
+    | _ -> ())
 
 let sharded_name k = Printf.sprintf "sharded-k%d" k
 
@@ -425,96 +336,45 @@ let parallel_name ~domains ~queue =
    (domain count, channel build), same interleaved-round discipline as
    the simulated sections. Every variant replays identical arrival
    streams, so req/s ratios against the d1 variant are the engine's
-   wall-clock scaling curve. Contended mixes are capped at n <= 256
-   like the sharded section, and for the same reason. *)
+   wall-clock scaling curve. *)
 let run_parallel_section spec =
-  match spec.par_domains with
-  | [] -> []
-  | ds ->
-    let variants =
-      List.concat_map
-        (fun d -> List.map (fun q -> (d, q)) spec.par_queues)
-        ds
-    in
+  let variants =
     List.concat_map
-      (fun mix ->
-        let sizes =
-          if mix = "disjoint" then spec.par_sizes
-          else List.filter (fun (n, _) -> n <= 256) spec.par_sizes
+      (fun d -> List.map (fun q -> (d, q)) spec.par_queues)
+      spec.par_domains
+  in
+  if variants = [] then []
+  else
+    in_cells spec ~salt:[| 0x9a7 |] ~streams:spec.par_streams ~capped:true
+      spec.par_mixes spec.par_sizes (fun ~mix ~n ~m ~syntax ~fmt:_ ~arrivals ->
+        let pass (domains, queue) () =
+          Array.fold_left
+            (fun acc a ->
+              let r =
+                Sched.Parallel.run ~queue ~domains ~shards:domains ~syntax
+                  ~arrivals:(Array.copy a) ()
+              in
+              acc + r.Sched.Parallel.grants + r.Sched.Parallel.delays
+              + r.Sched.Parallel.restarts)
+            0 arrivals
         in
-        List.concat_map
-          (fun (n, m) ->
-            let st =
-              Random.State.make [| spec.seed; Hashtbl.hash mix; n; m; 0x9a7 |]
-            in
-            let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
-            let fmt = Syntax.format syntax in
-            let arrivals =
-              Array.init spec.par_streams (fun _ ->
-                  Combin.Interleave.random st fmt)
-            in
-            let pass (domains, queue) () =
-              Array.fold_left
-                (fun acc a ->
-                  let r =
-                    Sched.Parallel.run ~queue ~domains
-                      ~shards:domains ~syntax ~arrivals:(Array.copy a)
-                      ()
-                  in
-                  acc + r.Sched.Parallel.grants + r.Sched.Parallel.delays
-                  + r.Sched.Parallel.restarts)
-                0 arrivals
-            in
-            let cells =
-              time_cells ~min_time:spec.min_time
-                (Array.of_list (List.map pass variants))
-            in
-            List.mapi
-              (fun j (domains, queue) ->
-                let requests, seconds = cells.(j) in
-                {
-                  scheduler = parallel_name ~domains ~queue;
-                  mix;
-                  n;
-                  m;
-                  requests;
-                  seconds;
-                  req_per_sec =
-                    (if seconds > 0. then float_of_int requests /. seconds
-                     else 0.);
-                })
-              variants)
-          sizes)
-      spec.par_mixes
+        let cells =
+          time_cells ~min_time:spec.min_time
+            (Array.of_list (List.map pass variants))
+        in
+        List.mapi
+          (fun j (domains, queue) ->
+            row ~scheduler:(parallel_name ~domains ~queue) ~mix ~n ~m cells.(j))
+          variants)
 
 let run spec =
-  run_section spec ~mixes:spec.mixes ~sizes:spec.sizes
-    ~named_of_syntax:schedulers
-  @ (match (spec.mv_mixes, spec.mv_sizes) with
-    | [], _ | _, [] -> []
-    | mixes, sizes ->
-      run_section spec ~mixes ~sizes ~named_of_syntax:mv_timing)
-  @ (match (spec.sem_mixes, spec.sem_sizes) with
-    | [], _ | _, [] -> []
-    | mixes, sizes ->
-      run_section spec ~mixes ~sizes ~named_of_syntax:sem_timing)
-  @ (match spec.shard_ks with
-    | [] -> []
-    | ks ->
-      (* Contended mixes are capped at n <= 256: a single hot/skewed run
-         at n >= 512 takes seconds (wound-wait churn on a near-complete
-         conflict graph), which would starve every other cell of its time
-         budget. Disjoint cells run at every requested size — that is the
-         scaling story the sharded section exists to measure. *)
-      List.concat_map
-        (fun mix ->
-          let sizes =
-            if mix = "disjoint" then spec.shard_sizes
-            else List.filter (fun (n, _) -> n <= 256) spec.shard_sizes
-          in
-          run_section spec ~mixes:[ mix ] ~sizes
-            ~named_of_syntax:(sharded_schedulers ks))
-        spec.shard_mixes)
+  run_section spec spec.mixes spec.sizes schedulers
+  @ run_section spec spec.mv_mixes spec.mv_sizes (untraced mv_schedulers)
+  @ run_section spec spec.sem_mixes spec.sem_sizes (untraced sem_schedulers)
+  @ (if spec.shard_ks = [] then []
+     else
+       run_section spec ~capped:true spec.shard_mixes spec.shard_sizes
+         (sharded_schedulers spec.shard_ks))
   @ run_parallel_section spec
 
 let find rows ~scheduler ~mix ~n ~m =
@@ -522,70 +382,41 @@ let find rows ~scheduler ~mix ~n ~m =
     (fun r -> r.scheduler = scheduler && r.mix = mix && r.n = n && r.m = m)
     rows
 
-let speedups rows =
-  (* SGT vs the brute-force oracle, per cell *)
-  List.filter_map
-    (fun r ->
-      if r.scheduler <> "SGT" then None
-      else
-        match find rows ~scheduler:"SGT-ref" ~mix:r.mix ~n:r.n ~m:r.m with
-        | Some ref_row when ref_row.req_per_sec > 0. ->
-          Some (r.mix, r.n, r.m, r.req_per_sec /. ref_row.req_per_sec)
-        | Some _ | None -> None)
-    rows
+(* Per cell, a row's req/s over its base row's in the same cell, as the
+   JSON map ["<mix>/<n>x<m><suffix>": ratio]. [pick] names the base
+   scheduler and the key suffix of every row it compares. *)
+let ratios rows pick =
+  Obs.Json.Object
+    (List.filter_map
+       (fun r ->
+         match pick r.scheduler with
+         | None -> None
+         | Some (base, suffix) -> (
+           match find rows ~scheduler:base ~mix:r.mix ~n:r.n ~m:r.m with
+           | Some b when b.req_per_sec > 0. ->
+             Some
+               ( Printf.sprintf "%s/%dx%d%s" r.mix r.n r.m suffix,
+                 Obs.Json.fixed 2 (r.req_per_sec /. b.req_per_sec) )
+           | Some _ | None -> None))
+       rows)
 
-let sharded_speedups rows =
-  (* the sharded engine vs monolithic SGT in the same cell, per K *)
-  List.filter_map
-    (fun r ->
-      match
-        String.length r.scheduler > 9
-        && String.sub r.scheduler 0 9 = "sharded-k"
-      with
-      | false -> None
-      | true -> (
-        match find rows ~scheduler:"SGT" ~mix:r.mix ~n:r.n ~m:r.m with
-        | Some sgt when sgt.req_per_sec > 0. ->
-          let k =
-            int_of_string
-              (String.sub r.scheduler 9 (String.length r.scheduler - 9))
-          in
-          Some (r.mix, r.n, r.m, k, r.req_per_sec /. sgt.req_per_sec)
-        | Some _ | None -> None))
-    rows
+(* SGT vs the brute-force oracle, the semantic engine vs rw-SGT and the
+   sharded engine vs monolithic SGT (per K) in the same cell, and every
+   multi-domain parallel variant vs the single-domain variant of the
+   same channel build: the wall-clock scaling curve. *)
+let vs_ref = function "SGT" -> Some ("SGT-ref", "") | _ -> None
+let vs_sgt = function "semantic" -> Some ("SGT", "") | _ -> None
 
-let semantic_speedups rows =
-  (* the semantic engine vs rw-SGT in the same typed-counter cell *)
-  List.filter_map
-    (fun r ->
-      if r.scheduler <> "semantic" then None
-      else
-        match find rows ~scheduler:"SGT" ~mix:r.mix ~n:r.n ~m:r.m with
-        | Some sgt when sgt.req_per_sec > 0. ->
-          Some (r.mix, r.n, r.m, r.req_per_sec /. sgt.req_per_sec)
-        | Some _ | None -> None)
-    rows
+let sharded_vs_sgt s =
+  if String.starts_with ~prefix:"sharded-k" s then
+    Some ("SGT", "/" ^ String.sub s 8 (String.length s - 8))
+  else None
 
-let parallel_speedups rows =
-  (* every multi-domain parallel variant vs the single-domain variant
-     of the same channel build, per cell: the wall-clock scaling curve *)
-  List.filter_map
-    (fun r ->
-      match String.split_on_char '-' r.scheduler with
-      | [ "parallel"; d; q ] when String.length d > 1 && d.[0] = 'd' -> (
-        match int_of_string_opt (String.sub d 1 (String.length d - 1)) with
-        | Some domains when domains > 1 -> (
-          match
-            find rows
-              ~scheduler:(Printf.sprintf "parallel-d1-%s" q)
-              ~mix:r.mix ~n:r.n ~m:r.m
-          with
-          | Some base when base.req_per_sec > 0. ->
-            Some (r.mix, r.n, r.m, q, domains, r.req_per_sec /. base.req_per_sec)
-          | Some _ | None -> None)
-        | _ -> None)
-      | _ -> None)
-    rows
+let parallel_vs_d1 s =
+  match String.split_on_char '-' s with
+  | [ "parallel"; d; q ] when d <> "d1" && String.starts_with ~prefix:"d" d ->
+    Some ("parallel-d1-" ^ q, "/" ^ q ^ "/" ^ d)
+  | _ -> None
 
 (* ---------- distributed-commit (2PC) section ---------- *)
 
@@ -674,430 +505,213 @@ let twopc_stats spec =
     Some { tp_parts = spec.twopc_parts; sweep; cc_repair; cc_avg_blocking;
            cc_max_blocking }
 
-let pp_twopc ppf (s : twopc_section) =
-  Format.fprintf ppf
-    "@[<v>2PC over %d participants (coordinator-crash blocking: avg %.1f / \
-     max %.1f at repair %.1f):@," s.tp_parts s.cc_avg_blocking
-    s.cc_max_blocking s.cc_repair;
-  Format.fprintf ppf "%-10s %8s %8s %8s %10s %10s %10s %10s@," "fault"
-    "rounds" "commits" "aborts" "abort%" "latency" "blocking" "msgs";
-  List.iter
-    (fun t ->
-      Format.fprintf ppf "%-10.2f %8d %8d %8d %9.1f%% %10.2f %10.2f %10d@,"
-        t.fault_rate t.tp_rounds t.tp_commits t.tp_aborts
-        (100. *. t.abort_rate) t.avg_latency t.avg_blocking t.tp_msgs)
-    s.sweep;
-  Format.fprintf ppf "@]"
+(* ---------- sections: one record per JSON member and text table ---------- *)
 
-(* ---------- JSON ---------- *)
+type section = { title : string; member : string; value : Obs.Json.t }
 
-let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"benchmark\": \"sched\",\n";
-  add "  \"unit\": \"requests_per_second\",\n";
-  add
-    (Printf.sprintf
-       "  \"config\": { \"n_vars\": %d, \"streams\": %d, \"min_time\": %g, \
-        \"seed\": %d, \"shard_ks\": [%s] },\n"
-       spec.n_vars spec.streams spec.min_time spec.seed
-       (String.concat ", " (List.map string_of_int spec.shard_ks)));
-  add "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      add
-        (Printf.sprintf
-           "    { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \"m\": \
-            %d, \"requests\": %d, \"seconds\": %.6f, \"req_per_sec\": %.1f }%s\n"
-           (Obs.Json.escape r.scheduler) (Obs.Json.escape r.mix) r.n r.m r.requests
-           r.seconds r.req_per_sec
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  add "  ],\n";
-  add "  \"sgt_speedup_vs_ref\": {\n";
-  let sp = speedups rows in
-  List.iteri
-    (fun i (mix, n, m, ratio) ->
-      add
-        (Printf.sprintf "    \"%s/%dx%d\": %.2f%s\n" (Obs.Json.escape mix) n m
-           ratio
-           (if i = List.length sp - 1 then "" else ",")))
-    sp;
-  add "  },\n";
-  add "  \"sharded_speedup_vs_sgt\": {\n";
-  let ssp = sharded_speedups rows in
-  List.iteri
-    (fun i (mix, n, m, k, ratio) ->
-      add
-        (Printf.sprintf "    \"%s/%dx%d/k%d\": %.2f%s\n" (Obs.Json.escape mix) n
-           m k ratio
-           (if i = List.length ssp - 1 then "" else ",")))
-    ssp;
-  add "  },\n";
-  (match parallel_speedups rows with
-  | [] -> ()
-  | psp ->
-    (* wall-clock context the ratios cannot be read without: on a host
-       with fewer cores than domains the speedup is algorithmic
-       (smaller per-worker graphs and histories), not concurrent *)
-    add "  \"parallel\": {\n";
-    add
-      (Printf.sprintf "    \"recommended_domains\": %d,\n"
-         (Domain.recommended_domain_count ()));
-    add
-      "    \"note\": \"wall-clock ratios vs the d1 variant on identical \
-       arrival streams; on hosts with fewer cores than domains the gain \
-       is algorithmic (smaller per-worker state), true concurrency \
-       engages on multicore\",\n";
-    add "    \"speedup_vs_d1\": {\n";
-    List.iteri
-      (fun i (mix, n, m, q, d, ratio) ->
-        add
-          (Printf.sprintf "      \"%s/%dx%d/%s/d%d\": %.2f%s\n"
-             (Obs.Json.escape mix) n m (Obs.Json.escape q) d ratio
-             (if i = List.length psp - 1 then "" else ",")))
-      psp;
-    add "    }\n";
-    add "  },\n");
-  (match twopc with
-  | None -> ()
-  | Some (s : twopc_section) ->
-    add "  \"twopc\": {\n";
-    add
-      (Printf.sprintf "    \"parts\": %d,\n    \"rounds_per_rate\": %d,\n"
-         s.tp_parts spec.twopc_rounds);
-    add "    \"sweep\": [\n";
-    List.iteri
-      (fun i t ->
-        add
-          (Printf.sprintf
-             "      { \"fault_rate\": %.3f, \"rounds\": %d, \"commits\": %d, \
-              \"aborts\": %d, \"abort_rate\": %.4f, \"avg_commit_latency\": \
-              %.3f, \"avg_blocking\": %.3f, \"max_blocking\": %.3f, \
-              \"msgs\": %d, \"crashes\": %d }%s\n"
-             t.fault_rate t.tp_rounds t.tp_commits t.tp_aborts t.abort_rate
-             t.avg_latency t.avg_blocking t.max_blocking t.tp_msgs
-             t.tp_crashes
-             (if i = List.length s.sweep - 1 then "" else ",")))
-      s.sweep;
-    add "    ],\n";
-    add
-      (Printf.sprintf
-         "    \"coordinator_crash\": { \"repair\": %.1f, \"avg_blocking\": \
-          %.3f, \"max_blocking\": %.3f }\n"
-         s.cc_repair s.cc_avg_blocking s.cc_max_blocking);
-    add "  },\n");
-  (match semantic with
-  | [] -> ()
-  | sem ->
-    add
-      (Printf.sprintf
-         "  \"semantic_section\": {\n    \"samples\": %d,\n    \"results\": [\n"
-         spec.sem_samples);
-    List.iteri
-      (fun i s ->
-        add
-          (Printf.sprintf
-             "      { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \
-              \"m\": %d, \"breadth\": %.4f, \"delays\": %d, \
-              \"commute_passes\": %d, \"commute_skipped\": %d }%s\n"
-             (Obs.Json.escape s.sem_scheduler) (Obs.Json.escape s.sem_mix) s.sem_n
-             s.sem_m s.sem_breadth s.sem_delays s.commute_passes
-             s.commute_skipped
-             (if i = List.length sem - 1 then "" else ",")))
-      sem;
-    add "    ],\n";
-    add "    \"speedup_vs_sgt\": {\n";
-    let ssp = semantic_speedups rows in
-    List.iteri
-      (fun i (mix, n, m, ratio) ->
-        add
-          (Printf.sprintf "      \"%s/%dx%d\": %.2f%s\n" (Obs.Json.escape mix) n
-             m ratio
-             (if i = List.length ssp - 1 then "" else ",")))
-      ssp;
-    add "    }\n";
-    add "  },\n");
-  add
-    (Printf.sprintf "  \"mv_section\": {\n    \"samples\": %d,\n    \"results\": [\n"
-       spec.mv_samples);
-  List.iteri
-    (fun i s ->
-      add
-        (Printf.sprintf
-           "      { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \"m\": \
-            %d, \"breadth\": %.4f, \"commits\": %d, \"ww_aborts\": %d, \
-            \"pivot_aborts\": %d, \"false_positive_aborts\": %d }%s\n"
-           (Obs.Json.escape s.mv_scheduler) (Obs.Json.escape s.mv_mix) s.mv_n s.mv_m
-           s.breadth s.mv_commits s.ww_aborts s.pivot_aborts
-           s.false_positive_aborts
-           (if i = List.length mv - 1 then "" else ",")))
-    mv;
-  add "    ]\n  }\n";
-  add "}\n";
-  Buffer.contents b
+let json_of_row r =
+  Obs.Json.(
+    Object
+      [
+        ("scheduler", String r.scheduler);
+        ("mix", String r.mix);
+        ("n", Int r.n);
+        ("m", Int r.m);
+        ("requests", Int r.requests);
+        ("seconds", fixed 6 r.seconds);
+        ("req_per_sec", fixed 1 r.req_per_sec);
+      ])
 
-(* Minimal recursive-descent well-formedness check over the JSON we
-   emit (objects, arrays, strings, numbers, true/false/null). Used by
-   the @check bench smoke so the harness cannot rot into emitting
-   garbage silently. [members_of] additionally records the raw extent
-   of each top-level member, which is what lets [--out] regeneration
-   preserve keys this emitter knows nothing about. *)
-let scan s ~on_member =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let fail = ref false in
-  let expect c =
-    if peek () = Some c then advance () else fail := true
-  in
-  let literal lit =
-    String.iter (fun c -> expect c) lit
-  in
-  let string_lit () =
-    expect '"';
-    let rec go () =
-      if !fail then ()
-      else
-        match peek () with
-        | None -> fail := true
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-          | Some 'u' ->
-            advance ();
-            for _ = 1 to 4 do
-              match peek () with
-              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-              | _ -> fail := true
-            done
-          | _ -> fail := true);
-          go ()
-        | Some _ ->
-          advance ();
-          go ()
-    in
-    go ()
-  in
-  let number () =
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let seen = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-          seen := true;
-          advance ();
-          go ()
-        | _ -> ()
-      in
-      go ();
-      if not !seen then fail := true
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ())
-  in
-  let depth = ref 0 in
-  let rec value () =
-    if !fail then ()
-    else begin
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        incr depth;
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else begin
-          let rec members () =
-            skip_ws ();
-            let kstart = !pos + 1 in
-            string_lit ();
-            let kstop = !pos - 1 in
-            skip_ws ();
-            expect ':';
-            skip_ws ();
-            let vstart = !pos in
-            value ();
-            if !depth = 1 && (not !fail) && kstop >= kstart then
-              on_member
-                ~key:(String.sub s kstart (kstop - kstart))
-                ~value:(String.sub s vstart (!pos - vstart));
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ()
-            | Some '}' -> advance ()
-            | _ -> fail := true
-          in
-          members ()
-        end;
-        decr depth
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else begin
-          let rec items () =
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items ()
-            | Some ']' -> advance ()
-            | _ -> fail := true
-          in
-          items ()
-        end
-      | Some '"' -> string_lit ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | Some ('-' | '0' .. '9') -> number ()
-      | _ -> fail := true
-    end
-  in
-  value ();
-  skip_ws ();
-  (not !fail) && !pos = n
+let json_of_admission { engine; cell = mix, n, m; breadth; tallies } =
+  Obs.Json.(
+    Object
+      ([
+         ("scheduler", String engine);
+         ("mix", String mix);
+         ("n", Int n);
+         ("m", Int m);
+         ("breadth", fixed 4 breadth);
+       ]
+      @ List.map (fun (k, c) -> (k, Int c)) tallies))
 
-let json_well_formed s = scan s ~on_member:(fun ~key:_ ~value:_ -> ())
+let json_of_twopc t =
+  Obs.Json.(
+    Object
+      [
+        ("fault_rate", fixed 3 t.fault_rate);
+        ("rounds", Int t.tp_rounds);
+        ("commits", Int t.tp_commits);
+        ("aborts", Int t.tp_aborts);
+        ("abort_rate", fixed 4 t.abort_rate);
+        ("avg_commit_latency", fixed 3 t.avg_latency);
+        ("avg_blocking", fixed 3 t.avg_blocking);
+        ("max_blocking", fixed 3 t.max_blocking);
+        ("msgs", Int t.tp_msgs);
+        ("crashes", Int t.tp_crashes);
+      ])
 
-let toplevel_members s =
-  let acc = ref [] in
-  let is_object =
-    match String.index_opt s '{' with
-    | Some i -> String.trim (String.sub s 0 i) = ""
-    | None -> false
-  in
-  if is_object && scan s ~on_member:(fun ~key ~value -> acc := (key, value) :: !acc)
-  then Some (List.rev !acc)
-  else None
+let sections ?(mv = []) ?twopc ?(semantic = []) spec rows =
+  let open Obs.Json in
+  let section title member value = { title; member; value } in
+  let parallel = ratios rows parallel_vs_d1 in
+  [
+    section "requests per second" "results" (Array (List.map json_of_row rows));
+    section "SGT speedup vs SGT-ref" "sgt_speedup_vs_ref" (ratios rows vs_ref);
+    section "sharded speedup vs SGT" "sharded_speedup_vs_sgt"
+      (ratios rows sharded_vs_sgt);
+  ]
+  @ (if parallel = Object [] then []
+     else
+       (* wall-clock context the ratios cannot be read without: on a host
+          with fewer cores than domains the speedup is algorithmic
+          (smaller per-worker graphs and histories), not concurrent *)
+       [
+         section "parallel wall-clock speedup vs 1 domain" "parallel"
+           (Object
+              [
+                ( "recommended_domains",
+                  Int (Domain.recommended_domain_count ()) );
+                ( "note",
+                  String
+                    "wall-clock ratios vs the d1 variant on identical arrival \
+                     streams; on hosts with fewer cores than domains the gain \
+                     is algorithmic (smaller per-worker state), true \
+                     concurrency engages on multicore" );
+                ("speedup_vs_d1", parallel);
+              ]);
+       ])
+  @ (match twopc with
+    | None -> []
+    | Some s ->
+      [
+        section "2PC commit rounds by fault rate" "twopc"
+          (Object
+             [
+               ("parts", Int s.tp_parts);
+               ("rounds_per_rate", Int spec.twopc_rounds);
+               ("sweep", Array (List.map json_of_twopc s.sweep));
+               ( "coordinator_crash",
+                 Object
+                   [
+                     ("repair", fixed 1 s.cc_repair);
+                     ("avg_blocking", fixed 3 s.cc_avg_blocking);
+                     ("max_blocking", fixed 3 s.cc_max_blocking);
+                   ] );
+             ]);
+      ])
+  @ (if semantic = [] then []
+     else
+       [
+         section "commutativity admission (|P|/|H|, delays, commute passes)"
+           "semantic_section"
+           (Object
+              [
+                ("samples", Int spec.sem_samples);
+                ("results", Array (List.map json_of_admission semantic));
+                ("speedup_vs_sgt", ratios rows vs_sgt);
+              ]);
+       ])
+  @ [
+      section "multi-version admission (|P|/|H| and aborts)" "mv_section"
+        (Object
+           [
+             ("samples", Int spec.mv_samples);
+             ("results", Array (List.map json_of_admission mv));
+           ]);
+    ]
 
-let trim_right s =
-  let l = ref (String.length s) in
-  while !l > 0 && (match s.[!l - 1] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-    decr l
-  done;
-  String.sub s 0 !l
-
-let merge_preserving ~existing fresh =
-  match (toplevel_members existing, toplevel_members fresh) with
-  | Some old_kvs, Some new_kvs -> (
-    let extra =
-      List.filter (fun (k, _) -> not (List.mem_assoc k new_kvs)) old_kvs
-    in
-    if extra = [] then fresh
-    else
-      match String.rindex_opt fresh '}' with
-      | None -> fresh
-      | Some close ->
-        let b = Buffer.create (String.length fresh + 256) in
-        Buffer.add_string b (trim_right (String.sub fresh 0 close));
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_string b
-              (Printf.sprintf ",\n  \"%s\": %s" k (String.trim v)))
-          extra;
-        Buffer.add_string b "\n}";
-        Buffer.add_string b
-          (String.sub fresh (close + 1) (String.length fresh - close - 1));
-        Buffer.contents b)
-  | _ -> fresh
+let to_json spec sections =
+  Obs.Json.(
+    Object
+      ([
+         ("benchmark", String "sched");
+         ("unit", String "requests_per_second");
+         ( "config",
+           Object
+             [
+               ("n_vars", Int spec.n_vars);
+               ("streams", Int spec.streams);
+               ("min_time", number (Printf.sprintf "%g" spec.min_time));
+               ("seed", Int spec.seed);
+               ("shard_ks", Array (List.map (fun k -> Int k) spec.shard_ks));
+             ] );
+       ]
+      @ List.map (fun s -> (s.member, s.value)) sections))
 
 (* ---------- text rendering ---------- *)
 
-let pp_rows ppf rows =
-  Format.fprintf ppf "%-8s %-8s %6s %12s %10s %14s@." "mix" "sched" "n x m"
-    "requests" "seconds" "req/s";
+(* A section's text is read off its JSON value: an array of objects is
+   a table under the objects' member names (numbers right-aligned), an
+   object lists its scalar members as name/value lines and nests its
+   containers under their names. Empty containers print nothing. *)
+let text = function Obs.Json.String s -> s | v -> Obs.Json.to_string v
+
+let numeric = function Obs.Json.Int _ | Obs.Json.Number _ -> true | _ -> false
+
+let rec pp_value ppf ind v =
+  let pad = String.make ind ' ' in
+  match v with
+  | Obs.Json.Array (Obs.Json.Object first :: _ as rows) ->
+    let cells =
+      List.map
+        (function Obs.Json.Object m -> List.map snd m | v -> [ v ])
+        rows
+    in
+    let widths =
+      List.fold_left
+        (List.map2 (fun w v -> max w (String.length (text v))))
+        (List.map (fun (k, _) -> String.length k) first)
+        cells
+    in
+    let line cell vs =
+      Format.fprintf ppf "%s%s@." pad
+        (String.concat "  "
+           (List.map2
+              (fun (w, (_, v0)) v ->
+                let s = cell v in
+                let gap = String.make (w - String.length s) ' ' in
+                if numeric v0 then gap ^ s else s ^ gap)
+              (List.combine widths first)
+              vs))
+    in
+    line Fun.id (List.map fst first);
+    List.iter (line text) cells
+  | Obs.Json.Object members ->
+    let w =
+      List.fold_left (fun w (k, _) -> max w (String.length k)) 0 members
+    in
+    List.iter
+      (fun (k, v) ->
+        match v with
+        | Obs.Json.Array [] | Obs.Json.Object [] -> ()
+        | Obs.Json.Array (Obs.Json.Object _ :: _) | Obs.Json.Object _ ->
+          Format.fprintf ppf "%s%s:@." pad k;
+          pp_value ppf (ind + 2) v
+        | v -> Format.fprintf ppf "%s%-*s  %s@." pad w k (text v))
+      members
+  | v -> Format.fprintf ppf "%s%s@." pad (text v)
+
+let pp ppf sections =
+  (* empty, or nothing but scalars beside empty containers *)
+  let bare = function
+    | Obs.Json.Array l -> l = []
+    | Obs.Json.Object m ->
+      let nested =
+        List.filter_map
+          (function
+            | _, Obs.Json.Array l -> Some (l = [])
+            | _, Obs.Json.Object l -> Some (l = [])
+            | _ -> None)
+          m
+      in
+      m = [] || (nested <> [] && List.for_all Fun.id nested)
+    | _ -> false
+  in
   List.iter
-    (fun r ->
-      Format.fprintf ppf "%-8s %-8s %3dx%-3d %12d %10.4f %14.1f@." r.mix
-        r.scheduler r.n r.m r.requests r.seconds r.req_per_sec)
-    rows;
-  (match speedups rows with
-  | [] -> ()
-  | sp ->
-    Format.fprintf ppf "@.SGT speedup vs SGT-ref:@.";
-    List.iter
-      (fun (mix, n, m, ratio) ->
-        Format.fprintf ppf "  %-8s %3dx%-3d %6.2fx@." mix n m ratio)
-      sp);
-  (match sharded_speedups rows with
-  | [] -> ()
-  | ssp ->
-    Format.fprintf ppf "@.sharded speedup vs SGT:@.";
-    List.iter
-      (fun (mix, n, m, k, ratio) ->
-        Format.fprintf ppf "  %-8s %3dx%-3d K=%-2d %6.2fx@." mix n m k ratio)
-      ssp);
-  (match semantic_speedups rows with
-  | [] -> ()
-  | ssp ->
-    Format.fprintf ppf "@.semantic speedup vs SGT:@.";
-    List.iter
-      (fun (mix, n, m, ratio) ->
-        Format.fprintf ppf "  %-10s %3dx%-3d %6.2fx@." mix n m ratio)
-      ssp);
-  match parallel_speedups rows with
-  | [] -> ()
-  | psp ->
-    Format.fprintf ppf
-      "@.parallel wall-clock speedup vs 1 domain (%d cores recommended):@."
-      (Domain.recommended_domain_count ());
-    List.iter
-      (fun (mix, n, m, q, d, ratio) ->
-        Format.fprintf ppf "  %-8s %3dx%-3d %-6s d=%-2d %6.2fx@." mix n m q d
-          ratio)
-      psp
-
-let pp_sem_stats ppf stats =
-  match stats with
-  | [] -> ()
-  | stats ->
-    Format.fprintf ppf
-      "@.commutativity admission (|P|/|H|, delays and commute passes):@.";
-    Format.fprintf ppf "%-12s %-9s %6s %9s %7s %7s %8s@." "mix" "sched"
-      "n x m" "breadth" "delays" "passes" "skipped";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf "%-12s %-9s %3dx%-3d %9.3f %7d %7d %8d@."
-          s.sem_mix s.sem_scheduler s.sem_n s.sem_m s.sem_breadth
-          s.sem_delays s.commute_passes s.commute_skipped)
-      stats
-
-let pp_mv_stats ppf stats =
-  match stats with
-  | [] -> ()
-  | stats ->
-    Format.fprintf ppf "@.multi-version admission (|P|/|H| and aborts):@.";
-    Format.fprintf ppf "%-10s %-8s %6s %9s %8s %6s %6s %9s@." "mix" "sched"
-      "n x m" "breadth" "commits" "ww" "pivot" "false-pos";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf "%-10s %-8s %3dx%-3d %9.3f %8d %6d %6d %9d@."
-          s.mv_mix s.mv_scheduler s.mv_n s.mv_m s.breadth s.mv_commits
-          s.ww_aborts s.pivot_aborts s.false_positive_aborts)
-      stats
+    (fun s ->
+      if not (bare s.value) then begin
+        Format.fprintf ppf "%s:@." s.title;
+        pp_value ppf 2 s.value;
+        Format.fprintf ppf "@."
+      end)
+    sections

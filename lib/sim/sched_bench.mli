@@ -11,9 +11,12 @@ open Core
     and reports served requests per wall-clock second. The suite includes
     both the incremental SGT and the brute-force {!Sched.Sgt_ref}
     oracle, so the emitted report records the speedup of the
-    incremental hot path directly. Surfaced as [ccopt bench] and as
-    bench experiment B1; the JSON form is the schema of
-    [BENCH_sched.json]. *)
+    incremental hot path directly. Every section's cells come from one
+    seeded cell builder, so each engine of a section replays the same
+    streams. The report is a list of {!section} records, each one an
+    {!Obs.Json} value that gives both its text table and its JSON
+    member. Surfaced as [ccopt bench] and as bench experiment B1; the
+    JSON form is the schema of [BENCH_sched.json]. *)
 
 type spec = {
   sizes : (int * int) list;  (** (n transactions, m steps) per cell *)
@@ -102,71 +105,37 @@ val run : spec -> row list
     commutativity section (SGT vs the semantic engine over
     [sem_mixes] x [sem_sizes]) and the sharded section. *)
 
-type mv_stat = {
-  mv_scheduler : string;
-  mv_mix : string;
-  mv_n : int;
-  mv_m : int;
+type admission = {
+  engine : string;
+  cell : string * int * int;  (** mix, n, m *)
   breadth : float;
       (** Monte-Carlo [|P| / |H|] ({!Sched.Driver.zero_delay_fraction})
           — the paper's admission-breadth measure, §6 *)
-  mv_commits : int;  (** committed transactions over the cell's streams *)
-  ww_aborts : int;   (** first-committer-wins refusals ([Ww_refused]) *)
-  pivot_aborts : int;
-      (** SSI dangerous-structure refusals ([Pivot_refused]) *)
-  false_positive_aborts : int;
-      (** pivot refusals whose serialization graph was acyclic — the
-          admissions SSI gives up versus an exact certifier *)
+  tallies : (string * int) list;
+      (** named event counts over the cell's arrival streams, in the
+          order of the JSON row *)
 }
+(** One row of an admission table: per cell and engine, breadth plus
+    event tallies from a traced pass over the cell's streams. *)
 
-val mv_stats : spec -> mv_stat list
-(** The multi-version admission table: per cell and engine, breadth
-    plus commit/abort counts from a traced pass over the cell's arrival
-    streams. Empty when the section is disabled. *)
+val mv_stats : spec -> admission list
+(** The multi-version admission table, SGT vs MVCC/SI/SSI per cell.
+    Tallies: [commits]; [ww_aborts], first-committer-wins refusals
+    ([Ww_refused]); [pivot_aborts], SSI dangerous-structure refusals
+    ([Pivot_refused]); [false_positive_aborts], pivot refusals whose
+    serialization graph was acyclic — the admissions SSI gives up
+    versus an exact certifier. Empty when the section is disabled. *)
 
-type sem_stat = {
-  sem_scheduler : string;
-  sem_mix : string;
-  sem_n : int;
-  sem_m : int;
-  sem_breadth : float;
-      (** Monte-Carlo [|P| / |H|] over the typed-counter cell — on these
-          mixes the semantic engine's fixpoint strictly contains
-          rw-SGT's, so its breadth reads higher *)
-  sem_delays : int;  (** delays over the cell's arrival streams *)
-  commute_passes : int;
-      (** [Obs.Event.Commute_pass] count: grants that sailed past live
-          same-variable accesses because every one commuted (always [0]
-          for the rw engine) *)
-  commute_skipped : int;
-      (** total accesses those passes skipped — the conflict edges the
-          commutativity table deleted *)
-}
-
-val sem_stats : spec -> sem_stat list
-(** The commutativity admission table: per typed-counter cell, breadth
-    plus delay/commute-pass counts for rw-SGT and the semantic engine
-    on identical streams. Empty when the section is disabled. *)
-
-val speedups : row list -> (string * int * int * float) list
-(** [(mix, n, m, sgt_req_per_sec / sgt_ref_req_per_sec)] per cell. *)
-
-val semantic_speedups : row list -> (string * int * int * float) list
-(** [(mix, n, m, semantic_req_per_sec / sgt_req_per_sec)] per
-    commutativity-section cell. *)
-
-val sharded_speedups : row list -> (string * int * int * int * float) list
-(** [(mix, n, m, K, sharded_req_per_sec / sgt_req_per_sec)] per sharded
-    cell. *)
-
-val parallel_name : domains:int -> queue:Sched.Chan.kind -> string
-(** Row label of a parallel variant: ["parallel-d<domains>-<queue>"]. *)
-
-val parallel_speedups :
-  row list -> (string * int * int * string * int * float) list
-(** [(mix, n, m, queue, domains, speedup_vs_d1)] for every multi-domain
-    parallel row whose cell also timed the d1 variant of the same
-    channel build — the engine's wall-clock scaling curve. *)
+val sem_stats : spec -> admission list
+(** The commutativity admission table, rw-SGT vs the semantic engine
+    on identical typed-counter streams; on these mixes the semantic
+    engine's fixpoint strictly contains rw-SGT's, so its breadth reads
+    higher. Tallies: [delays]; [commute_passes], the
+    [Obs.Event.Commute_pass] count — grants that sailed past live
+    same-variable accesses because every one commuted (always [0] for
+    the rw engine); [commute_skipped], the accesses those passes
+    skipped — the conflict edges the commutativity table deleted.
+    Empty when the section is disabled. *)
 
 (** {2 Distributed-commit (2PC) section} *)
 
@@ -204,46 +173,41 @@ val twopc_stats : spec -> twopc_section option
     rounds run in virtual time, so the numbers are decision counts and
     virtual latencies, not wall-clock. *)
 
-val pp_twopc : Format.formatter -> twopc_section -> unit
+(** {2 Report sections} *)
 
-val to_json :
-  ?mv:mv_stat list ->
+type section = {
+  title : string;      (** heading of the text table *)
+  member : string;     (** top-level JSON member *)
+  value : Obs.Json.t;  (** the member's value; the text is read off it *)
+}
+(** One report section: a single record drives both the text table
+    and the JSON member, so the two cannot drift apart. *)
+
+val sections :
+  ?mv:admission list ->
   ?twopc:twopc_section ->
-  ?semantic:sem_stat list ->
+  ?semantic:admission list ->
   spec ->
   row list ->
-  string
-(** Hand-emitted JSON: [{"benchmark", "unit", "config", "results":
-    [row...], "sgt_speedup_vs_ref": {...},
-    "sharded_speedup_vs_sgt": {...}, "parallel": {...}, "twopc": {...},
-    "semantic_section": {...}, "mv_section": {...}}]. The
-    ["semantic_section"] member appears only when stats are passed: the
-    commutativity admission rows plus the per-cell
-    ["speedup_vs_sgt"] map. The ["parallel"] member appears only when
-    the rows contain parallel variants; it records
-    [Domain.recommended_domain_count ()] alongside the speedups so a
-    reader can tell concurrent gains from algorithmic ones. The
-    ["twopc"] member appears only when a section is passed: the
-    fault-rate sweep rows plus the measured coordinator-crash blocking
-    window. *)
+  section list
+(** In JSON order: ["results"] (one object per row), the per-cell
+    req/s ratio maps ["sgt_speedup_vs_ref"] (["<mix>/<n>x<m>"]) and
+    ["sharded_speedup_vs_sgt"] (["<mix>/<n>x<m>/k<K>"]), then
+    ["parallel"] when the rows hold multi-domain variants whose cell
+    also timed the d1 variant of the same channel build — it records
+    [Domain.recommended_domain_count ()] beside the
+    ["<mix>/<n>x<m>/<queue>/d<D>"] ratios, so a reader can tell
+    concurrent gains from algorithmic ones — ["twopc"] when a section is
+    passed (the fault-rate sweep plus the measured coordinator-crash
+    blocking window), ["semantic_section"] when stats are passed (the
+    commutativity admission rows plus the per-cell ["speedup_vs_sgt"]
+    map) and ["mv_section"]. *)
 
-val json_well_formed : string -> bool
-(** Minimal JSON well-formedness check (full-string parse) used by the
-    bench smoke test; no external parser dependency. *)
+val to_json : spec -> section list -> Obs.Json.t
+(** The schema of [BENCH_sched.json]: [{"benchmark", "unit",
+    "config", ...sections}]. *)
 
-val toplevel_members : string -> (string * string) list option
-(** The top-level members of a JSON object, each value as its raw
-    text, in order; [None] unless the string is a well-formed object. *)
-
-val merge_preserving : existing:string -> string -> string
-(** [merge_preserving ~existing fresh] splices into [fresh] (a JSON
-    object this module emitted) every top-level key of [existing] that
-    [fresh] lacks, raw text preserved — so regenerating
-    [BENCH_sched.json] with [ccopt bench --out] keeps keys added by
-    other tools (e.g. [BENCH_check.json]-style companions merged into
-    one file, or hand-added annotations). An unparseable [existing]
-    leaves [fresh] unchanged. *)
-
-val pp_rows : Format.formatter -> row list -> unit
-val pp_mv_stats : Format.formatter -> mv_stat list -> unit
-val pp_sem_stats : Format.formatter -> sem_stat list -> unit
+val pp : Format.formatter -> section list -> unit
+(** The text tables: each section's title, then its value — an array
+    of objects as a table under the member names, other members as
+    name/value lines. Sections with nothing to show are skipped. *)

@@ -22,7 +22,7 @@ type run = {
   totals : Obs.Span.breakdown;
   wait_hist : Obs.Hist.t;
   zero_delay_fraction : float;
-  chrome : string;
+  chrome : Obs.Json.t;
 }
 
 let slug_of_name = Sched.Registry.slug_of_name
@@ -118,41 +118,53 @@ let pp_summary ppf runs =
 let schema_version = Analysis.Report.schema_version
 
 let json_summary spec runs =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema_version\": %d, \"syntax\": \"%s\", \"seed\": %d, \
-        \"capacity\": %d, \"samples\": %d, \"schedulers\": ["
-       schema_version (Obs.Json.escape spec.label) spec.seed spec.capacity
-       spec.samples);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ", ";
-      let q p =
-        match Obs.Hist.quantile r.wait_hist p with
-        | Some v -> string_of_int v
-        | None -> "null"
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\": \"%s\", \"slug\": \"%s\", \"zero_delay_fraction\": \
-            %.4f, \"grants\": %d, \"delays\": %d, \"restarts\": %d, \
-            \"deadlocks\": %d, \"waiting\": %d, \"zero_delay\": %b, \
-            \"spans\": {\"scheduling\": %.1f, \"waiting\": %.1f, \
-            \"execution\": %.1f, \"elapsed\": %.1f}, \"wait\": {\"count\": \
-            %d, \"mean\": %.3f, \"p50\": %s, \"p99\": %s}, \"events\": %d, \
-            \"dropped\": %d, \"trace_matches_stats\": %b}"
-           (Obs.Json.escape r.name) (Obs.Json.escape r.slug) r.zero_delay_fraction
-           r.stats.Sched.Driver.grants r.stats.Sched.Driver.delays
-           r.stats.Sched.Driver.restarts r.stats.Sched.Driver.deadlocks
-           r.stats.Sched.Driver.waiting
-           (Sched.Driver.zero_delay r.stats)
-           r.totals.Obs.Span.scheduling r.totals.Obs.Span.waiting
-           r.totals.Obs.Span.execution r.totals.Obs.Span.elapsed
-           (Obs.Hist.count r.wait_hist)
-           (Obs.Hist.mean r.wait_hist)
-           (q 0.5) (q 0.99) (List.length r.events) r.dropped
-           (mismatches r = [])))
-    runs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let scheduler r =
+    let s = r.stats and t = r.totals in
+    let q p =
+      match Obs.Hist.quantile r.wait_hist p with
+      | Some v -> Obs.Json.Int v
+      | None -> Obs.Json.Null
+    in
+    Obs.Json.(
+      Object
+        [
+          ("name", String r.name);
+          ("slug", String r.slug);
+          ("zero_delay_fraction", fixed 4 r.zero_delay_fraction);
+          ("grants", Int s.Sched.Driver.grants);
+          ("delays", Int s.Sched.Driver.delays);
+          ("restarts", Int s.Sched.Driver.restarts);
+          ("deadlocks", Int s.Sched.Driver.deadlocks);
+          ("waiting", Int s.Sched.Driver.waiting);
+          ("zero_delay", Bool (Sched.Driver.zero_delay s));
+          ( "spans",
+            Object
+              [
+                ("scheduling", fixed 1 t.Obs.Span.scheduling);
+                ("waiting", fixed 1 t.Obs.Span.waiting);
+                ("execution", fixed 1 t.Obs.Span.execution);
+                ("elapsed", fixed 1 t.Obs.Span.elapsed);
+              ] );
+          ( "wait",
+            Object
+              [
+                ("count", Int (Obs.Hist.count r.wait_hist));
+                ("mean", fixed 3 (Obs.Hist.mean r.wait_hist));
+                ("p50", q 0.5);
+                ("p99", q 0.99);
+              ] );
+          ("events", Int (List.length r.events));
+          ("dropped", Int r.dropped);
+          ("trace_matches_stats", Bool (mismatches r = []));
+        ])
+  in
+  Obs.Json.(
+    Object
+      [
+        ("schema_version", Int schema_version);
+        ("syntax", String spec.label);
+        ("seed", Int spec.seed);
+        ("capacity", Int spec.capacity);
+        ("samples", Int spec.samples);
+        ("schedulers", Array (List.map scheduler runs));
+      ])

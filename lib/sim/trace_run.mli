@@ -38,7 +38,7 @@ type run = {
   totals : Obs.Span.breakdown;      (** §6 decomposition summed over txs *)
   wait_hist : Obs.Hist.t;
   zero_delay_fraction : float;
-  chrome : string;                  (** Chrome trace_event JSON *)
+  chrome : Obs.Json.t;              (** Chrome trace_event JSON *)
 }
 
 val slug_of_name : string -> string
@@ -64,5 +64,5 @@ val pp_summary : Format.formatter -> run list -> unit
 (** The §6 summary table plus one waiting-histogram line per
     scheduler. Deterministic — golden-file tested. *)
 
-val json_summary : spec -> run list -> string
+val json_summary : spec -> run list -> Obs.Json.t
 (** The same report as a deterministic JSON object. *)

@@ -22,7 +22,7 @@ let () =
       ("chan", Test_chan.suite);
       ("parallel", Test_parallel.suite);
       ("sim", Test_sim.suite);
-      ("obs", Test_obs.suite);
+      ("obs", Test_obs.suite @ Test_json.suite);
       ("trace", Test_trace.suite);
       ("optimality", Test_optimality.suite);
       ("rw-model", Test_rw.suite);

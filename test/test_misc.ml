@@ -259,38 +259,48 @@ let test_format_class () =
     (Info.same_class Info.Format_only a b);
   check_false "not syntactically equal" (Info.same_class Info.Syntactic a b)
 
+let json_of_string s =
+  match Obs.Json.parse s with
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Obs.Json.error_to_string e)
+
+let member k = function Obs.Json.Object m -> List.assoc_opt k m | _ -> None
+
 (* Regenerating BENCH_sched.json in place must keep top-level keys
    other tools put there (e.g. the checker-throughput section). *)
 let test_bench_merge_preserving () =
-  let fresh = "{\n  \"benchmark\": \"b1\",\n  \"results\": [1, 2]\n}\n" in
+  let fresh = json_of_string "{\"benchmark\": \"b1\", \"results\": [1, 2]}" in
   let existing =
-    "{\"benchmark\": \"old\", \"checker\": {\"events_per_sec\": 9}, \
-     \"note\": \"hand-added\"}"
+    json_of_string
+      "{\"benchmark\": \"old\", \"checker\": {\"events_per_sec\": 9}, \
+       \"note\": \"hand-added\"}"
   in
-  let merged = Sim.Sched_bench.merge_preserving ~existing fresh in
-  check_true "merged well-formed" (Sim.Sched_bench.json_well_formed merged);
-  (match Sim.Sched_bench.toplevel_members merged with
-  | None -> Alcotest.fail "merged not an object"
-  | Some members ->
-    check_true "fresh keys win"
-      (List.assoc "benchmark" members = "\"b1\"");
-    check_true "foreign keys preserved"
-      (List.assoc_opt "checker" members = Some "{\"events_per_sec\": 9}");
-    check_true "annotations preserved"
-      (List.assoc_opt "note" members = Some "\"hand-added\""));
+  let merged = Obs.Json.merge ~existing fresh in
+  (* fresh members win and come first; foreign ones follow in order *)
+  check_true "fresh keys win, foreign keys and annotations preserved"
+    (merged
+    = json_of_string
+        "{\"benchmark\": \"b1\", \"results\": [1, 2], \"checker\": \
+         {\"events_per_sec\": 9}, \"note\": \"hand-added\"}");
+  check_true "merged prints and parses back" (json_round_trips merged);
   (* idempotent: merging the merge changes nothing *)
   check_true "merge idempotent"
-    (Sim.Sched_bench.merge_preserving ~existing:merged merged = merged);
-  (* an unparseable existing file never corrupts fresh output *)
+    (Obs.Json.merge ~existing:merged merged = merged);
+  (* an unparseable existing file never reaches the merge: the parser
+     names its position, and ccopt reports it and writes fresh output *)
   check_true "garbage existing ignored"
-    (Sim.Sched_bench.merge_preserving ~existing:"not json { at all" fresh
-    = fresh);
+    (match Obs.Json.parse "not json { at all" with
+    | Error { Obs.Json.line = 1; col = 1; _ } -> true
+    | _ -> false);
   check_true "non-object existing ignored"
-    (Sim.Sched_bench.merge_preserving ~existing:"[1,2,3]" fresh = fresh);
+    (Obs.Json.merge ~existing:(json_of_string "[1,2,3]") fresh = fresh);
   (* nothing to add: fresh already has every key *)
   check_true "no-op merge"
-    (Sim.Sched_bench.merge_preserving ~existing:"{\"benchmark\": 0}" fresh
+    (Obs.Json.merge ~existing:(json_of_string "{\"benchmark\": 0}") fresh
     = fresh)
+
+let smoke_rows spec =
+  Sim.Sched_bench.run { spec with Sim.Sched_bench.par_domains = [] }
 
 let test_bench_merge_preserves_sections () =
   (* the committed BENCH_sched.json accumulates opt-in sections
@@ -299,7 +309,7 @@ let test_bench_merge_preserves_sections () =
      by real spec runs here, not hand-written strings, so this breaks
      if an emitter renames its member *)
   let spec = { Sim.Sched_bench.smoke with min_time = 0. } in
-  let rows = Sim.Sched_bench.run { spec with par_domains = [] } in
+  let rows = smoke_rows spec in
   let twopc =
     match Sim.Sched_bench.twopc_stats spec with
     | Some s -> s
@@ -307,39 +317,70 @@ let test_bench_merge_preserves_sections () =
   in
   (* existing file: has twopc (and parallel-free results); fresh
      regeneration without --twopc must preserve it *)
-  let existing = Sim.Sched_bench.to_json ~twopc spec rows in
-  let fresh =
-    Sim.Sched_bench.to_json { spec with twopc_fault_rates = [] } rows
+  let json ?twopc spec =
+    Sim.Sched_bench.to_json spec (Sim.Sched_bench.sections ?twopc spec rows)
   in
-  (match Sim.Sched_bench.toplevel_members fresh with
-  | Some members ->
-    check_true "fresh run lacks the twopc member"
-      (List.assoc_opt "twopc" members = None)
-  | None -> Alcotest.fail "fresh not an object");
-  let merged = Sim.Sched_bench.merge_preserving ~existing fresh in
-  check_true "merged well-formed" (Sim.Sched_bench.json_well_formed merged);
-  match
-    (Sim.Sched_bench.toplevel_members existing,
-     Sim.Sched_bench.toplevel_members merged)
-  with
-  | Some old_members, Some members ->
-    check_true "twopc section preserved across regeneration"
-      (List.assoc_opt "twopc" members = List.assoc_opt "twopc" old_members);
-    check_true "twopc sweep content intact"
-      (match List.assoc_opt "twopc" members with
-      | Some raw ->
-        let contains needle =
-          let nl = String.length needle and rl = String.length raw in
-          let rec go i = i + nl <= rl
-            && (String.sub raw i nl = needle || go (i + 1)) in
-          go 0
-        in
-        contains "coordinator_crash" && contains "fault_rate"
-      | None -> false);
-    check_true "fresh results win"
-      (List.assoc_opt "results" members = List.assoc_opt "results"
-        (Option.get (Sim.Sched_bench.toplevel_members fresh)))
-  | _ -> Alcotest.fail "merge output not an object"
+  let existing = json ~twopc spec in
+  let fresh = json { spec with twopc_fault_rates = [] } in
+  check_true "fresh run lacks the twopc member" (member "twopc" fresh = None);
+  let merged = Obs.Json.merge ~existing fresh in
+  check_true "merged prints and parses back" (json_round_trips merged);
+  check_true "twopc section preserved across regeneration"
+    (member "twopc" merged = member "twopc" existing);
+  check_true "twopc sweep content intact"
+    (match member "twopc" merged with
+    | Some t -> member "coordinator_crash" t <> None && member "sweep" t <> None
+    | None -> false);
+  check_true "fresh results win"
+    (member "results" merged = member "results" fresh)
+
+(* The committed trajectory files: regenerating either from a smoke run
+   keeps, value-identical and in order, every committed member the run
+   does not emit (the opt-in [parallel] and [twopc] sections of
+   BENCH_sched.json, which the smoke leaves out). *)
+let test_committed_files_survive_merge () =
+  let check file fresh =
+    let committed = json_of_string (read_test_file ~root:true file) in
+    let merged = Obs.Json.merge ~existing:committed fresh in
+    let names = function
+      | Obs.Json.Object m -> List.map fst m
+      | _ -> Alcotest.fail (file ^ " is not an object")
+    in
+    let kept =
+      List.filter (fun k -> member k fresh = None) (names committed)
+    in
+    check_true (file ^ ": merged members") (names merged = names fresh @ kept);
+    List.iter
+      (fun k ->
+        check_true (file ^ ": " ^ k ^ " kept value-identical")
+          (member k merged = member k committed))
+      kept;
+    List.iter
+      (fun k ->
+        check_true (file ^ ": " ^ k ^ " from the fresh run")
+          (member k merged = member k fresh))
+      (names fresh);
+    check_true (file ^ ": merge prints and parses back")
+      (json_round_trips merged);
+    kept
+  in
+  (* what [ccopt bench --smoke --json] emits: no --parallel, no --twopc *)
+  let spec =
+    { Sim.Sched_bench.smoke with par_domains = []; twopc_fault_rates = [] }
+  in
+  let kept =
+    check "BENCH_sched.json"
+      (Sim.Sched_bench.to_json spec
+         (Sim.Sched_bench.sections ~mv:(Sim.Sched_bench.mv_stats spec)
+            ~semantic:(Sim.Sched_bench.sem_stats spec) spec
+            (Sim.Sched_bench.run spec)))
+  in
+  check_true "BENCH_sched.json keeps parallel and twopc"
+    (List.mem "parallel" kept && List.mem "twopc" kept);
+  let cspec = Sim.Check_bench.smoke in
+  ignore
+    (check "BENCH_check.json"
+       (Sim.Check_bench.to_json cspec (Sim.Check_bench.run cspec)))
 
 let suite =
   suite
@@ -351,6 +392,8 @@ let suite =
         test_bench_merge_preserving;
       Alcotest.test_case "bench JSON merge preserves opt-in sections" `Quick
         test_bench_merge_preserves_sections;
+      Alcotest.test_case "committed bench files survive a merge" `Quick
+        test_committed_files_survive_merge;
     ]
   @ qsuite
       [

@@ -464,27 +464,8 @@ let test_fold_history_truncated () =
   check_true "only committed txns listed" (fh.Obs.Fold.commits = [ 0 ]);
   check_false "in-flight work is not truncation" fh.Obs.Fold.truncated
 
-(* Every byte, alone and all together, escapes to a well-formed JSON
-   string literal with no raw control character left in it. *)
-let test_json_escape_bytes () =
-  let well_formed s =
-    let e = Obs.Json.escape s in
-    check_false
-      (Printf.sprintf "%S: no raw control byte" s)
-      (String.exists (fun c -> Char.code c < 0x20 || c = '\x7f') e);
-    check_true
-      (Printf.sprintf "%S: well-formed" s)
-      (Sim.Sched_bench.json_well_formed ("\"" ^ e ^ "\""))
-  in
-  for c = 0 to 255 do
-    well_formed (String.make 1 (Char.chr c))
-  done;
-  well_formed (String.init 256 Char.chr);
-  Alcotest.(check string) "tab" "a\\tb" (Obs.Json.escape "a\tb")
-
 let suite =
   [
-    Alcotest.test_case "JSON escape of every byte" `Quick test_json_escape_bytes;
     Alcotest.test_case "hist empty and errors" `Quick test_hist_empty;
     Alcotest.test_case "event log round trip" `Quick test_event_log_roundtrip;
     Alcotest.test_case "event log rejects junk" `Quick test_event_log_rejects;

@@ -154,14 +154,22 @@ let int_list a = Array.to_list (Array.map string_of_int a)
 
 (* Compare [got] with the golden [file] next to the tests, naming the
    first diverging line rather than dumping both. *)
-let check_golden file got =
-  let path =
-    (* dune runtest runs inside test/; dune exec from the root *)
-    if Sys.file_exists file then file else Filename.concat "test" file
+(* A file of test/ (or, with [~root:true], of the repository root):
+   dune runtest runs inside test/, dune exec from the root. *)
+let read_test_file ?(root = false) file =
+  let here, there =
+    if root then (Filename.concat ".." file, file)
+    else (file, Filename.concat "test" file)
   in
-  let ic = open_in path in
-  let want = really_input_string ic (in_channel_length ic) in
+  let ic = open_in_bin (if Sys.file_exists here then here else there) in
+  let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
+  s
+
+let json_round_trips v = Obs.Json.parse (Obs.Json.to_string v) = Ok v
+
+let check_golden file got =
+  let want = read_test_file file in
   let rec first_diff i = function
     | w :: ws, g :: gs ->
       if w = g then first_diff (i + 1) (ws, gs) else Some (i, w, g)
