@@ -1,20 +1,21 @@
-(* B1: scheduler micro-benchmark — requests/sec per scheduler across
-   workload sizes and variable mixes, incremental SGT against the
-   brute-force SGT-ref oracle.
+(* B1: scheduler decision cost — delays and restarts per committed step
+   per scheduler across workload sizes and variable mixes, sharded
+   against monolithic SGT, plus the admission-breadth and 2PC sections.
 
-   The paper's Section 6 splits a step's cost into scheduling, waiting
-   and execution; this experiment measures the scheduling component's
-   throughput ceiling. The same harness backs `ccopt bench --json`,
-   which emits the committed BENCH_sched.json trajectory file. *)
+   The paper's Section 6 ranks schedulers by what they admit and counts
+   every delay and restart as cost. The same harness backs
+   `ccopt bench --json`, which emits the committed BENCH_sched.json;
+   committed work per second is perfbench's measurement. *)
 
 let run () =
   Tables.section "B1-sched-bench"
-    "scheduler throughput (requests/sec, wall clock)";
+    "scheduler decision cost (delays and restarts per committed step)";
   let spec = Sim.Sched_bench.default in
-  let rows = Sim.Sched_bench.run spec in
-  Format.printf "%a" Sim.Sched_bench.pp (Sim.Sched_bench.sections spec rows);
+  Format.printf "%a" Sim.Sched_bench.pp (Sim.Sched_bench.sections spec);
   Printf.printf
-    "\nshape: the incremental SGT (Pearce–Kelly conflict graph) beats the \
-     copy-and-recheck SGT-ref on every mix, widening with size and \
-     contention; locking and timestamp schedulers sit between, with the \
-     no-test serial scheduler as the ceiling.\n"
+    "\nshape: TO never delays and pays 0.23-0.75 restarts per committed \
+     step; serial never restarts; SGT restarts 0.11-0.18 per step in \
+     every cell and delays less than serial; 2PL delays more than serial \
+     at 16x8 on uniform and skewed mixes; the sharded engine renders \
+     SGT's restarts at every K and its delays to within 0.5%%, with none \
+     on disjoint cells.\n"

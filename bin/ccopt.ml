@@ -8,7 +8,7 @@
      ccopt schedule  --syntax "xy,yx" --arrivals 0101 --scheduler sgt
      ccopt verify    [--k 2]                    theorem micro-universes
      ccopt measure   --syntax "xy,yx" --samples 500
-     ccopt bench     [--json] [--out BENCH_sched.json]  scheduler req/s
+     ccopt bench     [--json] [--out BENCH_sched.json]  scheduler delay cost
      ccopt trace     --syntax "xy,yx" --seed 42 [--out PREFIX] [--json]
      ccopt check     --syntax "xy,yx" --scheduler sgt --seed 42
                      | --schedule 0101 | --trace FILE.events  [--levels ..]
@@ -192,7 +192,7 @@ let write_out out body =
 
 (* A bench report, to stdout or to [--out FILE]. Regenerating a JSON
    file in place keeps the top-level members this run does not emit
-   (opt-in sections, other tools' keys); a FILE that does not parse is
+   (disabled sections, other tools' keys); a FILE that does not parse is
    named with the error position on stderr, then replaced. *)
 let write_report ~what ~json out v text =
   if not json then write_out out text
@@ -256,65 +256,28 @@ let parse_ints spec =
         | _ -> invalid_arg ("bad shard count " ^ s ^ " in --shards"))
     (String.split_on_char ',' spec)
 
-let bench sizes mixes n_vars streams min_time seed smoke json out shards
-    shard_sizes mv_sizes mv_samples sem_sizes sem_samples parallel domains
-    twopc =
-  (* the sections are opt-in (--parallel, --twopc); --domains picks the
-     parallel sweep, defaulting to the base configuration's (smoke
-     keeps its tiny one) *)
-  let par_domains_for (base : Sim.Sched_bench.spec) =
-    if not parallel then []
-    else
-      match domains with
-      | "" -> base.Sim.Sched_bench.par_domains
-      | spec -> parse_ints spec
-  in
-  let twopc_rates_for (base : Sim.Sched_bench.spec) =
-    if twopc then base.Sim.Sched_bench.twopc_fault_rates else []
-  in
-  let par_domains = par_domains_for Sim.Sched_bench.default in
+let bench sizes mixes n_vars streams seed smoke json out shards shard_sizes
+    mv_sizes mv_samples sem_sizes sem_samples =
+  let d = Sim.Sched_bench.default in
   let spec =
-    if smoke then
-      {
-        Sim.Sched_bench.smoke with
-        par_domains = par_domains_for Sim.Sched_bench.smoke;
-        twopc_fault_rates = twopc_rates_for Sim.Sched_bench.smoke;
-      }
+    if smoke then Sim.Sched_bench.smoke
     else
       {
+        d with
         Sim.Sched_bench.sizes = parse_sizes sizes;
         mixes = String.split_on_char ',' mixes;
         n_vars;
         streams;
-        min_time;
         seed;
         shard_ks = parse_ints shards;
         shard_sizes = parse_sizes shard_sizes;
-        shard_mixes = Sim.Sched_bench.default.Sim.Sched_bench.shard_mixes;
         mv_sizes = (if mv_sizes = "" then [] else parse_sizes mv_sizes);
-        mv_mixes = Sim.Sched_bench.default.Sim.Sched_bench.mv_mixes;
         mv_samples;
         sem_sizes = (if sem_sizes = "" then [] else parse_sizes sem_sizes);
-        sem_mixes = Sim.Sched_bench.default.Sim.Sched_bench.sem_mixes;
         sem_samples;
-        par_domains;
-        par_queues = Sim.Sched_bench.default.Sim.Sched_bench.par_queues;
-        par_sizes = Sim.Sched_bench.default.Sim.Sched_bench.par_sizes;
-        par_mixes = Sim.Sched_bench.default.Sim.Sched_bench.par_mixes;
-        par_streams = Sim.Sched_bench.default.Sim.Sched_bench.par_streams;
-        twopc_fault_rates = twopc_rates_for Sim.Sched_bench.default;
-        twopc_rounds = Sim.Sched_bench.default.Sim.Sched_bench.twopc_rounds;
-        twopc_parts = Sim.Sched_bench.default.Sim.Sched_bench.twopc_parts;
       }
   in
-  let rows = Sim.Sched_bench.run spec in
-  let sections =
-    Sim.Sched_bench.sections
-      ~mv:(Sim.Sched_bench.mv_stats spec)
-      ~semantic:(Sim.Sched_bench.sem_stats spec)
-      ?twopc:(Sim.Sched_bench.twopc_stats spec)
-      spec rows
-  in
+  let sections = Sim.Sched_bench.sections spec in
   write_report ~what:"bench" ~json out
     (Sim.Sched_bench.to_json spec sections)
     (Format.asprintf "%a" Sim.Sched_bench.pp sections)
@@ -596,6 +559,17 @@ let check spec sched_spec sched_name seed capacity trace_file levels_spec
 
 open Cmdliner
 
+(* Counts and sample sizes: zero or a negative value is rejected with
+   the flag's name before any run starts. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k > 0 -> Ok k
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got '%s'" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let syntax_arg =
   Arg.(
     required
@@ -712,7 +686,8 @@ let verify_cmd =
 
 let measure_cmd =
   let samples =
-    Arg.(value & opt int 500 & info [ "samples" ] ~doc:"Random histories.")
+    Arg.(
+      value & opt pos_int 500 & info [ "samples" ] ~doc:"Random histories.")
   in
   Cmd.v
     (Cmd.info "measure"
@@ -745,18 +720,13 @@ let bench_cmd =
   in
   let n_vars =
     Arg.(
-      value & opt int d.Sim.Sched_bench.n_vars
+      value & opt pos_int d.Sim.Sched_bench.n_vars
       & info [ "vars" ] ~doc:"Size of the variable pool.")
   in
   let streams =
     Arg.(
-      value & opt int d.Sim.Sched_bench.streams
+      value & opt pos_int d.Sim.Sched_bench.streams
       & info [ "streams" ] ~doc:"Arrival streams per cell.")
-  in
-  let min_time =
-    Arg.(
-      value & opt float d.Sim.Sched_bench.min_time
-      & info [ "min-time" ] ~doc:"Per-cell time budget in seconds.")
   in
   let seed =
     Arg.(value & opt int d.Sim.Sched_bench.seed & info [ "seed" ] ~doc:"RNG seed.")
@@ -815,7 +785,7 @@ let bench_cmd =
   let mv_samples =
     Arg.(
       value
-      & opt int d.Sim.Sched_bench.mv_samples
+      & opt pos_int d.Sim.Sched_bench.mv_samples
       & info [ "mv-samples" ]
           ~doc:"Monte-Carlo samples per |P|/|H| breadth estimate in the \
                 multi-version admission table.")
@@ -837,46 +807,21 @@ let bench_cmd =
   let sem_samples =
     Arg.(
       value
-      & opt int d.Sim.Sched_bench.sem_samples
+      & opt pos_int d.Sim.Sched_bench.sem_samples
       & info [ "sem-samples" ]
           ~doc:"Monte-Carlo samples per |P|/|H| breadth estimate in the \
                 commutativity admission table.")
   in
-  let parallel =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:"Also time the domain-parallel execution engine \
-                (Sched.Parallel) — wall-clock req/s per (domain count, \
-                channel build), with a speedup map vs 1 domain.")
-  in
-  let domains =
-    Arg.(
-      value & opt string ""
-      & info [ "domains" ] ~docv:"D,.."
-          ~doc:"Domain counts for the --parallel sweep (include 1: it is \
-                the speedup baseline). Defaults to the configuration's \
-                sweep.")
-  in
-  let twopc =
-    Arg.(
-      value & flag
-      & info [ "twopc" ]
-          ~doc:"Also run the distributed-commit section (Sched.Twopc): \
-                commit latency, abort rate and in-doubt blocking window \
-                per fault rate, plus the measured coordinator-crash \
-                blocking window.")
-  in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"scheduler micro-benchmark (requests/sec, incl. SGT vs SGT-ref, \
-             sharded vs monolithic SGT, the multi-version admission section, \
-             the --parallel wall-clock engine sweep and the --twopc \
-             distributed-commit section)")
+       ~doc:"scheduler decision-cost benchmark (delays and restarts per \
+             committed step, sharded vs monolithic SGT, the \
+             distributed-commit sweep and the commutativity and \
+             multi-version admission sections)")
     Term.(
-      const bench $ sizes $ mixes $ n_vars $ streams $ min_time $ seed $ smoke
-      $ json $ out $ shards $ shard_sizes $ mv_sizes $ mv_samples $ sem_sizes
-      $ sem_samples $ parallel $ domains $ twopc)
+      const bench $ sizes $ mixes $ n_vars $ streams $ seed $ smoke $ json
+      $ out $ shards $ shard_sizes $ mv_sizes $ mv_samples $ sem_sizes
+      $ sem_samples)
 
 let trace_cmd =
   let sched =
@@ -900,7 +845,7 @@ let trace_cmd =
   in
   let samples =
     Arg.(
-      value & opt int 200
+      value & opt pos_int 200
       & info [ "samples" ]
           ~doc:"Monte-Carlo samples for the zero-delay fraction.")
   in

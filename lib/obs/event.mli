@@ -39,9 +39,9 @@ type t =
   | Edge_added of { src : int; dst : int }
       (** SGT admitted a conflict edge [src -> dst] *)
   | Cycle_refused of { tx : int; idx : int }
-      (** SGT refused a request because it would close a cycle (fresh
-          graph searches only; cached re-verdicts emit {!Delayed} via
-          the driver) *)
+      (** SGT refused a request because it would close a cycle (a
+          fresh graph search; a Delay that [Sched.Sharded] answers from
+          its per-shard stamp emits only the driver's {!Delayed}) *)
   | Commute_pass of { tx : int; idx : int; skipped : int }
       (** the semantic scheduler granted a step although [skipped]
           earlier same-variable accesses of other transactions were on

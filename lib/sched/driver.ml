@@ -104,13 +104,7 @@ let dequeue st i = Intq.remove st.blocked i
 let completed st i =
   st.next_step.(i) >= st.fmt.(i) && st.outstanding.(i) = 0
 
-(* The scheduler's wake epoch, or the driver's count of the calls that
-   can change a scheduler's state (every grant commits, every restart
-   aborts) for a scheduler that declares none. *)
-let epoch st =
-  match st.sched.Scheduler.epoch with
-  | Some f -> f ()
-  | None -> st.grants + st.restarts
+let epoch st = Scheduler.wake_epoch st.sched ~changes:(st.grants + st.restarts)
 
 let log_grant st (id : Names.step_id) =
   let k = st.grants in
@@ -330,6 +324,10 @@ let fixpoint_of mk fmt =
     (Schedule.all fmt)
 
 let zero_delay_fraction mk ~fmt ~samples ~seed =
+  if samples <= 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Driver.zero_delay_fraction: samples must be positive, got %d" samples);
   let stt = Random.State.make [| seed |] in
   let hits = ref 0 in
   for _ = 1 to samples do

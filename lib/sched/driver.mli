@@ -105,4 +105,4 @@ val fixpoint_of : (unit -> Scheduler.t) -> int array -> Schedule.t list
 val zero_delay_fraction :
   (unit -> Scheduler.t) -> fmt:int array -> samples:int -> seed:int -> float
 (** Monte-Carlo estimate of [|P| / |H|] over uniformly random arrival
-    histories. *)
+    histories. Raises [Invalid_argument] unless [samples > 0]. *)

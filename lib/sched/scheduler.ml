@@ -17,3 +17,5 @@ let default_victim = function [] -> None | tx :: _ -> Some tx
 let make ~name ~attempt ~commit ?(on_abort = fun _ -> ())
     ?(victim = default_victim) ?(detect = fun _ -> None) ?epoch () =
   { name; attempt; commit; on_abort; victim; detect; epoch }
+
+let wake_epoch t ~changes = match t.epoch with Some f -> f () | None -> changes

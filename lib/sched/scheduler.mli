@@ -93,3 +93,9 @@ val make :
     transaction is never chosen, so some transaction always survives
     long enough to finish). A scheduler supplying its own [victim] must
     preserve that property itself; see {!Tpl_sched.wait_for_victim}. *)
+
+val wake_epoch : t -> changes:int -> int
+(** The epoch a driver parks a delayed request at: the scheduler's
+    [epoch], or [changes] — the driver's count of grants plus restarts —
+    for a scheduler that declares none. {!Driver} and [Sim.Des] both
+    park on it. *)

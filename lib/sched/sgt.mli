@@ -11,8 +11,8 @@ open Core
     accumulate), so stalls are resolved by aborting the requester, whose
     edges are then removed.
 
-    {!Sgt_core} over one slot per variable: the incremental graph, the
-    removal-stamped delay cache and pruning live there. {!Sgt_ref} keeps
+    {!Sgt_core} over one slot per variable: the incremental graph and
+    pruning live there. {!Sgt_ref} keeps
     the original copy-and-recheck implementation as the differential
     oracle. *)
 
@@ -22,6 +22,6 @@ val create : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t
 
     With a [sink], the conflict edges a transaction's first access to a
     variable induces emit {!Obs.Event.Edge_added} (a repeat access
-    induces none) and fresh cycle refusals emit
-    {!Obs.Event.Cycle_refused} (cached re-verdicts stay silent).
+    induces none) and every cycle refusal emits
+    {!Obs.Event.Cycle_refused}.
     Constructor shape per the convention in {!Scheduler}. *)

@@ -11,8 +11,6 @@ type t = {
   completed : bool array;
   graph : Digraph.Acyclic.t;
   mutable removals : int;
-  blocked_idx : int array;
-  blocked_at : int array;
 }
 
 let create ?(sink = Obs.Sink.null) ?label ~n ~conflicts () =
@@ -25,8 +23,6 @@ let create ?(sink = Obs.Sink.null) ?label ~n ~conflicts () =
     completed = Array.make n false;
     graph = Digraph.Acyclic.create n;
     removals = 0;
-    blocked_idx = Array.make n (-1);
-    blocked_at = Array.make n (-1);
   }
 
 let same_slot k = Array.init k (fun s -> [| s |])
@@ -77,18 +73,12 @@ let new_paths t v slot ~vertices ~ids =
 
 (* ---------- admission ---------- *)
 
-let delayed t v idx = t.blocked_idx.(v) = idx && t.blocked_at.(v) = t.removals
-
 (* Every candidate edge ends at [v], so the batch closes a cycle iff
    some source is reachable from [v]: one bounded search on the
    incrementally maintained order, no copy, no allocation. *)
 let closes_cycle t v slot = reaches_sources t ~excluding:v v slot
 
 let refuse t v idx =
-  t.blocked_idx.(v) <- idx;
-  t.blocked_at.(v) <- t.removals;
-  (* only fresh graph searches emit: cached re-verdicts are answered
-     from the removal count without touching the graph *)
   if Obs.Sink.on t.sink then
     Obs.Sink.record t.sink (Obs.Event.Cycle_refused { tx = t.label.(v); idx })
 
@@ -160,8 +150,7 @@ let scheduler ~name ?on_commit t ~slot_of_step ~fmt =
   let attempt (id : Names.step_id) =
     let v = id.Names.tx in
     let idx = id.Names.idx in
-    if delayed t v idx then Scheduler.Delay
-    else if closes_cycle t v slot_of_step.(v).(idx) then begin
+    if closes_cycle t v slot_of_step.(v).(idx) then begin
       refuse t v idx;
       Scheduler.Delay
     end

@@ -17,7 +17,7 @@ open Core
     bounded by the affected window of the order. Between removals
     (aborts and prunes) the graph and the accessor lists only grow, and
     growing either never turns a cycle-closing request grantable, so
-    the removal count keys the Delay cache and is the wake epoch. A
+    the removal count is the wake epoch. A
     completed transaction never gains an incoming edge, so once a
     source it can never lie on a cycle and is pruned.
 
@@ -46,17 +46,13 @@ val var_slots : Syntax.t -> int array array * int
 val removals : t -> int
 (** Aborts plus prunes so far. *)
 
-val delayed : t -> int -> int -> bool
-(** [delayed t v idx]: a Delay verdict cached for step [idx] of [v] is
-    still valid. *)
-
 val closes_cycle : t -> int -> int -> bool
 (** [closes_cycle t v slot]: would recording [v] into [slot] close a
-    cycle? A fresh search; caches nothing. *)
+    cycle? *)
 
 val refuse : t -> int -> int -> unit
-(** [refuse t v idx] caches a Delay verdict and emits
-    {!Obs.Event.Cycle_refused}. *)
+(** [refuse t v idx] emits {!Obs.Event.Cycle_refused} for step [idx] of
+    [v]. *)
 
 val fresh : t -> int -> int -> bool
 (** [fresh t v slot]: [v] is not yet an accessor of [slot]. *)
@@ -95,8 +91,8 @@ val scheduler :
   slot_of_step:int array array ->
   fmt:int array ->
   Scheduler.t
-(** Step [(i, j)] records into [slot_of_step.(i).(j)]: attempt is the
-    cached verdict or {!closes_cycle} (refusing); commit is {!record},
+(** Step [(i, j)] records into [slot_of_step.(i).(j)]: attempt is
+    {!closes_cycle} (refusing); commit is {!record},
     [on_commit id slot], and {!finish} after the final step; the wake
     epoch is {!removals}. No eager [detect]: a delayed request blocks
     nobody, and aborting each freshly doomed requester only replays it

@@ -59,11 +59,16 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         Array.map (fun l -> p.Partition.cross_id.(p.Partition.members.(s).(l))))
       cross_local
   in
-  (* The delay cache of each shard core, plus the coordinator version:
-     a Delay verdict stays valid until a removal in the owning shard or
-     a coordinator removal (abort of a cross transaction) — the only
-     events that can shrink the graphs a refusal was computed on. *)
-  let blocked_cv = Array.make n (-1) in
+  (* The delay cache: a refusal of [tx]'s step [blocked_idx.(tx)] stays
+     valid until a removal in the step's shard or in the coordinator —
+     the only events that can shrink the graphs it was computed on. The
+     stamp sums the two monotone counters, so it moves iff either does.
+     The wake epoch moves on every shard's removals, so a parking driver
+     re-asks requests whose own shard is unchanged; the cache answers
+     those without a search. *)
+  let blocked_idx = Array.make n (-1) in
+  let blocked_at = Array.make n (-1) in
+  let stamp c = Sgt_core.removals c + !cversion in
   (* Candidate summary edges of granting step (tx, idx) in shard [s]:
      sources A are the cross transactions of [s] where a new
      intra-shard path starts, targets B those where one ends, plus tx
@@ -100,7 +105,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     let s = p.Partition.shard_of_step.(tx).(idx) in
     let c = core.(s) in
     let l = p.Partition.local_id.(s).(tx) in
-    if Sgt_core.delayed c l idx && blocked_cv.(tx) = !cversion then
+    if blocked_idx.(tx) = idx && blocked_at.(tx) = stamp c then
       Scheduler.Delay
     else begin
       let lv = p.Partition.lvar_of_step.(tx).(idx) in
@@ -108,7 +113,8 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         Obs.Sink.record sink (Obs.Event.Shard_routed { tx; idx; shard = s });
       if Sgt_core.closes_cycle c l lv || summary_refused s l lv tx then begin
         Sgt_core.refuse c l idx;
-        blocked_cv.(tx) <- !cversion;
+        blocked_idx.(tx) <- idx;
+        blocked_at.(tx) <- stamp c;
         Scheduler.Delay
       end
       else begin

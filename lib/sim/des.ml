@@ -52,7 +52,7 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
           execution = 0.;
         })
   in
-  let restarts = ref 0 and deadlocks = ref 0 in
+  let grants = ref 0 and restarts = ref 0 and deadlocks = ref 0 in
   let tx_restarts = Array.make n 0 in
   let next_step = Array.make n 0 in
   let events = ref Events.empty in
@@ -67,9 +67,13 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
     t := !t +. exponential st params.arrival_rate;
     add_event !t (`Arrival i)
   done;
-  (* the scheduler's FIFO request queue and the parked list *)
+  (* the scheduler's FIFO request queue, and the parked list: each
+     delayed request with the wake epoch of its verdict *)
   let queue : (int * float) Queue.t = Queue.create () in
-  let parked : (int * float) Queue.t = Queue.create () in
+  let parked : (int * float * int) Queue.t = Queue.create () in
+  let epoch () =
+    Sched.Scheduler.wake_epoch sched ~changes:(!grants + !restarts)
+  in
   let sched_free = ref 0. in
   let done_count = ref 0 in
   let makespan = ref 0. in
@@ -79,15 +83,23 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
         (Obs.Event.Submitted { tx; idx = next_step.(tx) });
     Queue.add (tx, time) queue
   in
-  (* parked requests wait until a grant changes the state; the parked
-     span is the paper's waiting time *)
-  let unpark now =
+  (* As in {!Sched.Driver}, a parked request goes back to the queue only
+     once the wake epoch has moved past its stamp: until then it would be
+     refused again. [victim] leaves the parked list without requeueing.
+     The parked span is the paper's waiting time. *)
+  let unpark ?(victim = -1) now =
+    let e = epoch () in
+    let still = Queue.create () in
     Queue.iter
-      (fun (tx, since) ->
-        stats.(tx).waiting <- stats.(tx).waiting +. (now -. since);
-        Queue.add (tx, now) queue)
+      (fun ((tx, since, stamp) as p) ->
+        if stamp = e && tx <> victim then Queue.add p still
+        else begin
+          stats.(tx).waiting <- stats.(tx).waiting +. (now -. since);
+          if tx <> victim then Queue.add (tx, now) queue
+        end)
       parked;
-    Queue.clear parked
+    Queue.clear parked;
+    Queue.transfer still parked
   in
   (* Victim-candidate lists follow the driver's convention: youngest
      first (latest arrival first), so a scheduler that prefers early
@@ -101,14 +113,13 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
       (fun a b -> Float.compare stats.(b).arrival stats.(a).arrival)
       txs
   in
-  let blocked_list () =
-    Queue.fold (fun acc (tx, _) -> tx :: acc) [] parked
+  let blocked () =
+    Queue.fold (fun acc (tx, _, _) -> tx :: acc) [] parked
     |> List.rev |> by_seniority
-    |> List.map (fun tx -> (tx, Names.step tx next_step.(tx)))
   in
-  (* abort [v] at time [now]: release its bookkeeping, credit waiting to
-     everything parked, resubmit the victim with backoff and give the
-     others an immediate retry *)
+  (* abort [v] at time [now]: release its bookkeeping, resubmit it with
+     backoff and give the requests the abort may unblock an immediate
+     retry *)
   let abort_victim now v =
     incr deadlocks;
     incr restarts;
@@ -120,14 +131,7 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
     end;
     sched.Sched.Scheduler.on_abort v;
     next_step.(v) <- 0;
-    let keep = Queue.create () in
-    Queue.iter
-      (fun (tx, since) ->
-        stats.(tx).waiting <- stats.(tx).waiting +. (now -. since);
-        if tx <> v then Queue.add (tx, now) keep)
-      parked;
-    Queue.clear parked;
-    Queue.transfer keep queue;
+    unpark ~victim:v now;
     (* back off by whole scheduling round-trips, not just execution
        time: with sched_time dominating, an exec-scaled backoff lets the
        victim re-enter the queue before any waiter has even been served
@@ -158,6 +162,7 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
         Obs.Sink.record_at sink decided
           (Obs.Event.Granted { tx; idx = next_step.(tx) });
       sched.Sched.Scheduler.commit id;
+      incr grants;
       next_step.(tx) <- next_step.(tx) + 1;
       stats.(tx).execution <- stats.(tx).execution +. params.exec_time;
       add_event (decided +. params.exec_time) (`Step_done tx);
@@ -166,10 +171,13 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
       if Obs.Sink.on sink then
         Obs.Sink.record_at sink decided
           (Obs.Event.Delayed { tx; idx = next_step.(tx) });
-      Queue.add (tx, decided) parked;
+      Queue.add (tx, decided, epoch ()) parked;
       (* eager deadlock detection: do not let a doomed request sit in
          the parked list until the end of the run *)
-      match sched.Sched.Scheduler.detect (blocked_list ()) with
+      match
+        sched.Sched.Scheduler.detect
+          (List.map (fun tx -> (tx, Names.step tx next_step.(tx))) (blocked ()))
+      with
       | None -> ()
       | Some v -> abort_victim decided v)
     | Sched.Scheduler.Abort ->
@@ -201,12 +209,8 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
       if Queue.is_empty parked then ()
       else begin
         (* stall: every open request is parked *)
-        let blocked =
-          Queue.fold (fun acc (tx, _) -> tx :: acc) [] parked
-          |> List.rev |> by_seniority
-        in
         Obs.Sink.set_now sink !sched_free;
-        match sched.Sched.Scheduler.victim blocked with
+        match sched.Sched.Scheduler.victim (blocked ()) with
         | None ->
           raise
             (Sched.Driver.Stall

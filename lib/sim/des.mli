@@ -12,9 +12,12 @@
       assumed independent of the scheduler; executions of different
       users overlap.
 
-    The simulation drives any {!Sched.Scheduler.t}; delayed requests are
-    reconsidered after every grant, aborts restart the transaction, and
-    full stalls are resolved through the scheduler's victim choice. *)
+    The simulation drives any {!Sched.Scheduler.t}. A delayed request is
+    parked at the scheduler's wake epoch ({!Sched.Scheduler.wake_epoch},
+    with the simulation's grants plus restarts as the fallback count) and
+    queued for a new decision only once a grant or an abort has moved
+    that epoch, as {!Sched.Driver} does; aborts restart the transaction,
+    and full stalls are resolved through the scheduler's victim choice. *)
 
 type params = {
   arrival_rate : float;   (** transactions per time unit (Poisson) *)

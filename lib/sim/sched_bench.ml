@@ -5,7 +5,6 @@ type spec = {
   mixes : string list;
   n_vars : int;
   streams : int;
-  min_time : float;
   seed : int;
   shard_ks : int list;
   shard_sizes : (int * int) list;
@@ -20,16 +19,6 @@ type spec = {
   sem_sizes : (int * int) list;
   sem_mixes : string list;
   sem_samples : int;
-  (* wall-clock parallel-execution section; empty [par_domains] skips it.
-     Each variant runs one shard per domain (K = D), so d1 is the
-     monolithic single-shard engine on one domain — the configuration a
-     user without the parallel feature gets — and the sweep is the
-     engine's scaling curve. *)
-  par_domains : int list;
-  par_queues : Sched.Chan.kind list;
-  par_sizes : (int * int) list;
-  par_mixes : string list;
-  par_streams : int;
   (* distributed-commit section; empty [twopc_fault_rates] skips it.
      Each rate drives [twopc_rounds] commit rounds through a
      [Sched.Twopc.service] over [twopc_parts] participants, with the
@@ -39,23 +28,12 @@ type spec = {
   twopc_parts : int;
 }
 
-type row = {
-  scheduler : string;
-  mix : string;
-  n : int;
-  m : int;
-  requests : int;
-  seconds : float;
-  req_per_sec : float;
-}
-
 let default =
   {
     sizes = [ (4, 4); (8, 8); (16, 8) ];
     mixes = [ "uniform"; "hot"; "skewed" ];
     n_vars = 8;
     streams = 20;
-    min_time = 0.2;
     seed = 42;
     shard_ks = [ 1; 2; 4; 8 ];
     shard_sizes = [ (64, 2); (256, 2); (2048, 2) ];
@@ -66,13 +44,6 @@ let default =
     sem_sizes = [ (4, 4); (8, 8); (16, 8) ];
     sem_mixes = [ "ctr-hot"; "ctr-skewed" ];
     sem_samples = 200;
-    par_domains = [ 1; 2; 4; 8 ];
-    par_queues = [ Sched.Chan.Ring; Sched.Chan.Mutex ];
-    (* 2048x2 disjoint is the scaling cell; 256x2 keeps the contended
-       mix affordable (same cap as the sharded section) *)
-    par_sizes = [ (2048, 2); (256, 2) ];
-    par_mixes = [ "disjoint"; "hot" ];
-    par_streams = 2;
     twopc_fault_rates = [ 0.; 0.05; 0.1; 0.2; 0.4 ];
     twopc_rounds = 400;
     twopc_parts = 3;
@@ -84,7 +55,6 @@ let smoke =
     mixes = [ "uniform"; "hot" ];
     n_vars = 3;
     streams = 2;
-    min_time = 0.;
     seed = 42;
     shard_ks = [ 4 ];
     shard_sizes = [ (8, 2) ];
@@ -95,11 +65,6 @@ let smoke =
     sem_sizes = [ (3, 2) ];
     sem_mixes = [ "ctr-hot" ];
     sem_samples = 20;
-    par_domains = [ 1; 2 ];
-    par_queues = [ Sched.Chan.Ring ];
-    par_sizes = [ (16, 2) ];
-    par_mixes = [ "disjoint" ];
-    par_streams = 1;
     twopc_fault_rates = [ 0.; 0.3 ];
     twopc_rounds = 20;
     twopc_parts = 2;
@@ -137,63 +102,25 @@ let syntax_of_mix st ~mix ~n ~m ~n_vars =
      ^ " (uniform, hot, skewed, disjoint, rw-uniform, rw-hot, \
         rw-readmost, ctr-hot, ctr-skewed)")
 
+(* SGT-ref is not in the table: its decisions equal SGT's
+   ([test_sgt_diff]), so its row would repeat SGT's. *)
 let schedulers syntax =
   [
     ("serial", fun () -> Sched.Serial_sched.create ~fmt:(Syntax.format syntax));
     ("2PL", fun () -> Sched.Tpl_sched.create_2pl ~syntax ());
     ("TO", fun () -> Sched.Timestamp.create ~syntax ());
     ("SGT", fun () -> Sched.Sgt.create ~syntax ());
-    ("SGT-ref", fun () -> Sched.Sgt_ref.create ~syntax);
   ]
-
-(* Requests served = scheduler decisions that consumed a submitted
-   request: grants (re-executions included) plus delays plus
-   outright aborts. Decision-equivalent schedulers therefore serve the
-   same request count and differ only in elapsed time. *)
-let requests_of (s : Sched.Driver.stats) =
-  s.Sched.Driver.grants + s.Sched.Driver.delays + s.Sched.Driver.restarts
-
-(* Time every scheduler of a cell together, in interleaved rounds: each
-   round runs one whole pass of each scheduler over every stream, timed
-   individually at pass granularity (clock overhead stays out of the
-   measurement). Interleaving matters for the reported ratios — timing
-   each scheduler in its own contiguous block lets CPU frequency drift
-   between blocks masquerade as a speedup. One warm-up pass per
-   scheduler, then rounds until the cell's time budget
-   ([min_time] x number of schedulers, matching the sequential layout's
-   total) is spent. Each entry of [passes] runs one whole pass of its
-   configuration and returns the requests it served. *)
-let time_cells ~min_time passes =
-  let k = Array.length passes in
-  let requests = Array.make k 0 in
-  let seconds = Array.make k 0. in
-  Array.iter (fun pass -> ignore (pass ())) passes;
-  let budget = min_time *. float_of_int k in
-  let total = ref 0. in
-  let rounds = ref 0 in
-  while !rounds = 0 || !total < budget do
-    for j = 0 to k - 1 do
-      let t0 = Unix.gettimeofday () in
-      requests.(j) <- requests.(j) + passes.(j) ();
-      let dt = Unix.gettimeofday () -. t0 in
-      seconds.(j) <- seconds.(j) +. dt;
-      total := !total +. dt
-    done;
-    incr rounds
-  done;
-  Array.init k (fun j -> (requests.(j), seconds.(j)))
 
 (* Every section builds its cells the same way: a fresh deterministic
    rng per (mix, n, m) yields the syntax and the arrival streams that
    every engine of the cell replays. A section's [salt] keeps its
    streams apart from the other sections'. [capped] limits contended
    mixes to n <= 256: a single hot/skewed run at n >= 512 takes
-   seconds (wound-wait churn on a near-complete conflict graph),
-   starving every other cell of its time budget, while disjoint cells
-   run at every size — that is the scaling story the sharded and
-   parallel sections measure. *)
-let in_cells spec ?(salt = [||]) ?(streams = spec.streams) ?(capped = false)
-    mixes sizes f =
+   seconds (wound-wait churn on a near-complete conflict graph), while
+   disjoint cells run at every size — that is the scaling story the
+   sharded section tells. *)
+let in_cells spec ?(salt = [||]) ?(capped = false) mixes sizes f =
   List.concat_map
     (fun mix ->
       List.concat_map
@@ -205,7 +132,7 @@ let in_cells spec ?(salt = [||]) ?(streams = spec.streams) ?(capped = false)
           let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
           let fmt = Syntax.format syntax in
           let arrivals =
-            Array.init streams (fun _ -> Combin.Interleave.random st fmt)
+            Array.init spec.streams (fun _ -> Combin.Interleave.random st fmt)
           in
           f ~mix ~n ~m ~syntax ~fmt ~arrivals)
         (if capped && mix <> "disjoint" then
@@ -213,27 +140,35 @@ let in_cells spec ?(salt = [||]) ?(streams = spec.streams) ?(capped = false)
          else sizes))
     mixes
 
-let row ~scheduler ~mix ~n ~m (requests, seconds) =
-  let req_per_sec =
-    if seconds > 0. then float_of_int requests /. seconds else 0.
-  in
-  { scheduler; mix; n; m; requests; seconds; req_per_sec }
+(* The decision-cost tables: per cell and engine, the committed steps,
+   Delay verdicts and restarts of {!Sched.Driver.run}, summed over the
+   cell's streams. Every engine commits every step, so the cost columns
+   compare engines on the same work. *)
+type cost = {
+  scheduler : string;
+  cell : string * int * int;
+  committed : int;
+  delays : int;
+  restarts : int;
+}
 
-let run_section spec ?capped mixes sizes named_of_syntax =
+let costs spec ?capped mixes sizes engines =
   in_cells spec ?capped mixes sizes (fun ~mix ~n ~m ~syntax ~fmt ~arrivals ->
-      let named = named_of_syntax syntax in
-      let pass mk () =
-        Array.fold_left
-          (fun acc a ->
-            acc + requests_of (Sched.Driver.run (mk ()) ~fmt ~arrivals:a))
-          0 arrivals
-      in
-      let cells =
-        time_cells ~min_time:spec.min_time
-          (Array.of_list (List.map (fun (_, mk) -> pass mk) named))
-      in
-      List.mapi (fun j (scheduler, _) -> row ~scheduler ~mix ~n ~m cells.(j))
-        named)
+      List.map
+        (fun (scheduler, mk) ->
+          Array.fold_left
+            (fun c a ->
+              let s = Sched.Driver.run (mk ()) ~fmt ~arrivals:a in
+              {
+                c with
+                committed = c.committed + Array.length s.Sched.Driver.output;
+                delays = c.delays + s.Sched.Driver.delays;
+                restarts = c.restarts + s.Sched.Driver.restarts;
+              })
+            { scheduler; cell = (mix, n, m); committed = 0; delays = 0;
+              restarts = 0 }
+            arrivals)
+        (engines syntax))
 
 (* The multi-version section pits single-version SGT against the MV
    family on typed read/update mixes — the workloads where snapshot
@@ -254,11 +189,6 @@ let sem_schedulers syntax =
     ("SGT", fun sink -> Sched.Sgt.create ~sink ~syntax ());
     ("semantic", fun sink -> Sched.Semantic.create ~sink ~syntax ());
   ]
-
-let untraced engines syntax =
-  List.map
-    (fun (name, mk) -> (name, fun () -> mk Obs.Sink.null))
-    (engines syntax)
 
 type admission = {
   engine : string;
@@ -313,110 +243,19 @@ let sem_stats spec =
       bump 2 skipped
     | _ -> ())
 
-let sharded_name k = Printf.sprintf "sharded-k%d" k
-
 (* The sharded section compares monolithic SGT against the sharded
    engine across K on partition-sensitive workloads: [disjoint] is the
    zero-coordination best case (every transaction single-shard), [hot]
-   and [skewed] keep contention so the coordinator path is timed too.
+   and [skewed] keep contention so the coordinator path decides too.
    Sizes favour many small transactions — the regime the per-shard
    graphs are built for. *)
 let sharded_schedulers ks syntax =
   ("SGT", fun () -> Sched.Sgt.create ~syntax ())
   :: List.map
        (fun k ->
-         ( sharded_name k,
+         ( Printf.sprintf "sharded-k%d" k,
            fun () -> Sched.Sharded.create ~shards:k ~syntax () ))
        ks
-
-let parallel_name ~domains ~queue =
-  Printf.sprintf "parallel-d%d-%s" domains (Sched.Chan.kind_name queue)
-
-(* Wall-clock timing of the domain-parallel engine, one variant per
-   (domain count, channel build), same interleaved-round discipline as
-   the simulated sections. Every variant replays identical arrival
-   streams, so req/s ratios against the d1 variant are the engine's
-   wall-clock scaling curve. *)
-let run_parallel_section spec =
-  let variants =
-    List.concat_map
-      (fun d -> List.map (fun q -> (d, q)) spec.par_queues)
-      spec.par_domains
-  in
-  if variants = [] then []
-  else
-    in_cells spec ~salt:[| 0x9a7 |] ~streams:spec.par_streams ~capped:true
-      spec.par_mixes spec.par_sizes (fun ~mix ~n ~m ~syntax ~fmt:_ ~arrivals ->
-        let pass (domains, queue) () =
-          Array.fold_left
-            (fun acc a ->
-              let r =
-                Sched.Parallel.run ~queue ~domains ~shards:domains ~syntax
-                  ~arrivals:(Array.copy a) ()
-              in
-              acc + r.Sched.Parallel.grants + r.Sched.Parallel.delays
-              + r.Sched.Parallel.restarts)
-            0 arrivals
-        in
-        let cells =
-          time_cells ~min_time:spec.min_time
-            (Array.of_list (List.map pass variants))
-        in
-        List.mapi
-          (fun j (domains, queue) ->
-            row ~scheduler:(parallel_name ~domains ~queue) ~mix ~n ~m cells.(j))
-          variants)
-
-let run spec =
-  run_section spec spec.mixes spec.sizes schedulers
-  @ run_section spec spec.mv_mixes spec.mv_sizes (untraced mv_schedulers)
-  @ run_section spec spec.sem_mixes spec.sem_sizes (untraced sem_schedulers)
-  @ (if spec.shard_ks = [] then []
-     else
-       run_section spec ~capped:true spec.shard_mixes spec.shard_sizes
-         (sharded_schedulers spec.shard_ks))
-  @ run_parallel_section spec
-
-let find rows ~scheduler ~mix ~n ~m =
-  List.find_opt
-    (fun r -> r.scheduler = scheduler && r.mix = mix && r.n = n && r.m = m)
-    rows
-
-(* Per cell, a row's req/s over its base row's in the same cell, as the
-   JSON map ["<mix>/<n>x<m><suffix>": ratio]. [pick] names the base
-   scheduler and the key suffix of every row it compares. *)
-let ratios rows pick =
-  Obs.Json.Object
-    (List.filter_map
-       (fun r ->
-         match pick r.scheduler with
-         | None -> None
-         | Some (base, suffix) -> (
-           match find rows ~scheduler:base ~mix:r.mix ~n:r.n ~m:r.m with
-           | Some b when b.req_per_sec > 0. ->
-             Some
-               ( Printf.sprintf "%s/%dx%d%s" r.mix r.n r.m suffix,
-                 Obs.Json.fixed 2 (r.req_per_sec /. b.req_per_sec) )
-           | Some _ | None -> None))
-       rows)
-
-(* SGT vs the brute-force oracle, the semantic engine vs rw-SGT and the
-   sharded engine vs monolithic SGT (per K) in the same cell, and every
-   multi-domain parallel variant vs the single-domain variant of the
-   same channel build: the wall-clock scaling curve. *)
-let vs_ref = function "SGT" -> Some ("SGT-ref", "") | _ -> None
-let vs_sgt = function "semantic" -> Some ("SGT", "") | _ -> None
-
-let sharded_vs_sgt s =
-  if String.starts_with ~prefix:"sharded-k" s then
-    Some ("SGT", "/" ^ String.sub s 8 (String.length s - 8))
-  else None
-
-let parallel_vs_d1 s =
-  match String.split_on_char '-' s with
-  | [ "parallel"; d; q ] when d <> "d1" && String.starts_with ~prefix:"d" d ->
-    Some ("parallel-d1-" ^ q, "/" ^ q ^ "/" ^ d)
-  | _ -> None
 
 (* ---------- distributed-commit (2PC) section ---------- *)
 
@@ -509,17 +348,22 @@ let twopc_stats spec =
 
 type section = { title : string; member : string; value : Obs.Json.t }
 
-let json_of_row r =
+let per_step k committed =
+  Obs.Json.fixed 4 (float_of_int k /. float_of_int (max 1 committed))
+
+let json_of_cost { scheduler; cell = mix, n, m; committed; delays; restarts } =
   Obs.Json.(
     Object
       [
-        ("scheduler", String r.scheduler);
-        ("mix", String r.mix);
-        ("n", Int r.n);
-        ("m", Int r.m);
-        ("requests", Int r.requests);
-        ("seconds", fixed 6 r.seconds);
-        ("req_per_sec", fixed 1 r.req_per_sec);
+        ("scheduler", String scheduler);
+        ("mix", String mix);
+        ("n", Int n);
+        ("m", Int m);
+        ("committed_steps", Int committed);
+        ("delays", Int delays);
+        ("restarts", Int restarts);
+        ("delays_per_step", per_step delays committed);
+        ("restarts_per_step", per_step restarts committed);
       ])
 
 let json_of_admission { engine; cell = mix, n, m; breadth; tallies } =
@@ -550,37 +394,28 @@ let json_of_twopc t =
         ("crashes", Int t.tp_crashes);
       ])
 
-let sections ?(mv = []) ?twopc ?(semantic = []) spec rows =
+let sections spec =
   let open Obs.Json in
   let section title member value = { title; member; value } in
-  let parallel = ratios rows parallel_vs_d1 in
+  let table rows = Array (List.map json_of_cost rows) in
+  let admitted samples rows =
+    Object
+      [
+        ("samples", Int samples);
+        ("results", Array (List.map json_of_admission rows));
+      ]
+  in
   [
-    section "requests per second" "results" (Array (List.map json_of_row rows));
-    section "SGT speedup vs SGT-ref" "sgt_speedup_vs_ref" (ratios rows vs_ref);
-    section "sharded speedup vs SGT" "sharded_speedup_vs_sgt"
-      (ratios rows sharded_vs_sgt);
+    section "decision cost per committed step" "results"
+      (table (costs spec spec.mixes spec.sizes schedulers));
+    section "sharded decision cost per committed step" "sharded"
+      (table
+         (if spec.shard_ks = [] then []
+          else
+            costs spec ~capped:true spec.shard_mixes spec.shard_sizes
+              (sharded_schedulers spec.shard_ks)));
   ]
-  @ (if parallel = Object [] then []
-     else
-       (* wall-clock context the ratios cannot be read without: on a host
-          with fewer cores than domains the speedup is algorithmic
-          (smaller per-worker graphs and histories), not concurrent *)
-       [
-         section "parallel wall-clock speedup vs 1 domain" "parallel"
-           (Object
-              [
-                ( "recommended_domains",
-                  Int (Domain.recommended_domain_count ()) );
-                ( "note",
-                  String
-                    "wall-clock ratios vs the d1 variant on identical arrival \
-                     streams; on hosts with fewer cores than domains the gain \
-                     is algorithmic (smaller per-worker state), true \
-                     concurrency engages on multicore" );
-                ("speedup_vs_d1", parallel);
-              ]);
-       ])
-  @ (match twopc with
+  @ (match twopc_stats spec with
     | None -> []
     | Some s ->
       [
@@ -599,25 +434,12 @@ let sections ?(mv = []) ?twopc ?(semantic = []) spec rows =
                    ] );
              ]);
       ])
-  @ (if semantic = [] then []
-     else
-       [
-         section "commutativity admission (|P|/|H|, delays, commute passes)"
-           "semantic_section"
-           (Object
-              [
-                ("samples", Int spec.sem_samples);
-                ("results", Array (List.map json_of_admission semantic));
-                ("speedup_vs_sgt", ratios rows vs_sgt);
-              ]);
-       ])
   @ [
+      section "commutativity admission (|P|/|H|, delays, commute passes)"
+        "semantic_section"
+        (admitted spec.sem_samples (sem_stats spec));
       section "multi-version admission (|P|/|H| and aborts)" "mv_section"
-        (Object
-           [
-             ("samples", Int spec.mv_samples);
-             ("results", Array (List.map json_of_admission mv));
-           ]);
+        (admitted spec.mv_samples (mv_stats spec));
     ]
 
 let to_json spec sections =
@@ -625,13 +447,12 @@ let to_json spec sections =
     Object
       ([
          ("benchmark", String "sched");
-         ("unit", String "requests_per_second");
+         ("unit", String "delays and restarts per committed step");
          ( "config",
            Object
              [
                ("n_vars", Int spec.n_vars);
                ("streams", Int spec.streams);
-               ("min_time", number (Printf.sprintf "%g" spec.min_time));
                ("seed", Int spec.seed);
                ("shard_ks", Array (List.map (fun k -> Int k) spec.shard_ks));
              ] );

@@ -226,23 +226,21 @@ let chrome_fixture =
     (14., Committed { tx = 0 });
   ]
 
+let sched_bench_smoke () =
+  let spec = Sim.Sched_bench.smoke in
+  Sim.Sched_bench.to_json spec (Sim.Sched_bench.sections spec)
+
 let value_cases () =
   List.map analyze_case analyze_cases
   @ List.concat_map trace_case trace_cases
-  @ [ ("chrome fixture", Obs.Trace_export.chrome chrome_fixture) ]
+  @ [
+      ("chrome fixture", Obs.Trace_export.chrome chrome_fixture);
+      ("sched-bench smoke", sched_bench_smoke ());
+    ]
 
-(* The bench reports carry timings: their pins are the member paths,
+(* The check bench report carries timings: its pin is the member paths,
    kinds and decimal digits, plus the members that do not depend on the
    clock compared by value. *)
-let sched_bench_smoke () =
-  let spec = Sim.Sched_bench.smoke in
-  Sim.Sched_bench.to_json spec
-    (Sim.Sched_bench.sections
-       ~mv:(Sim.Sched_bench.mv_stats spec)
-       ~semantic:(Sim.Sched_bench.sem_stats spec)
-       ?twopc:(Sim.Sched_bench.twopc_stats spec)
-       spec (Sim.Sched_bench.run spec))
-
 let check_bench_smoke () =
   let spec = Sim.Check_bench.smoke in
   Sim.Check_bench.to_json spec (Sim.Check_bench.run spec)
@@ -260,24 +258,6 @@ let keep keys = function
 let rows f = function
   | Obs.Json.Array l -> Obs.Json.Array (List.map f l)
   | v -> v
-
-(* Single-round smoke cells ([min_time = 0]) serve a fixed request
-   count, except on the wall-clock parallel engine. *)
-let untimed_sched v =
-  let cell r =
-    match member "scheduler" r with
-    | Obs.Json.String s when String.starts_with ~prefix:"parallel" s ->
-      keep [ "scheduler"; "mix"; "n"; "m" ] r
-    | _ -> keep [ "scheduler"; "mix"; "n"; "m"; "requests" ] r
-  in
-  Obs.Json.Object
-    [
-      ("config", member "config" v);
-      ("results", rows cell (member "results" v));
-      ("twopc", member "twopc" v);
-      ("semantic", member "results" (member "semantic_section" v));
-      ("mv", member "results" (member "mv_section" v));
-    ]
 
 let untimed_check v =
   Obs.Json.Object
@@ -324,7 +304,6 @@ let shape v =
 
 let shape_cases () =
   [
-    ("sched-bench smoke", sched_bench_smoke (), untimed_sched);
     ("check-bench smoke", check_bench_smoke (), untimed_check);
   ]
 

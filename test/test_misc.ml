@@ -299,29 +299,19 @@ let test_bench_merge_preserving () =
     (Obs.Json.merge ~existing:(json_of_string "{\"benchmark\": 0}") fresh
     = fresh)
 
-let smoke_rows spec =
-  Sim.Sched_bench.run { spec with Sim.Sched_bench.par_domains = [] }
-
 let test_bench_merge_preserves_sections () =
-  (* the committed BENCH_sched.json accumulates opt-in sections
-     (--parallel, --twopc, the mv table); regenerating without one of
-     the flags must keep the existing member — each section is emitted
-     by real spec runs here, not hand-written strings, so this breaks
-     if an emitter renames its member *)
-  let spec = { Sim.Sched_bench.smoke with min_time = 0. } in
-  let rows = smoke_rows spec in
-  let twopc =
-    match Sim.Sched_bench.twopc_stats spec with
-    | Some s -> s
-    | None -> Alcotest.fail "smoke spec must enable the 2PC section"
+  (* regenerating BENCH_sched.json with a section disabled must keep the
+     existing member — each section is emitted by real spec runs here,
+     not hand-written strings, so this breaks if an emitter renames its
+     member *)
+  let spec = Sim.Sched_bench.smoke in
+  let json spec =
+    Sim.Sched_bench.to_json spec (Sim.Sched_bench.sections spec)
   in
-  (* existing file: has twopc (and parallel-free results); fresh
-     regeneration without --twopc must preserve it *)
-  let json ?twopc spec =
-    Sim.Sched_bench.to_json spec (Sim.Sched_bench.sections ?twopc spec rows)
-  in
-  let existing = json ~twopc spec in
+  let existing = json spec in
   let fresh = json { spec with twopc_fault_rates = [] } in
+  check_true "smoke spec emits the twopc member"
+    (member "twopc" existing <> None);
   check_true "fresh run lacks the twopc member" (member "twopc" fresh = None);
   let merged = Obs.Json.merge ~existing fresh in
   check_true "merged prints and parses back" (json_round_trips merged);
@@ -336,8 +326,8 @@ let test_bench_merge_preserves_sections () =
 
 (* The committed trajectory files: regenerating either from a smoke run
    keeps, value-identical and in order, every committed member the run
-   does not emit (the opt-in [parallel] and [twopc] sections of
-   BENCH_sched.json, which the smoke leaves out). *)
+   does not emit. BENCH_sched.json has no such member: every section is
+   one that a run emits. *)
 let test_committed_files_survive_merge () =
   let check file fresh =
     let committed = json_of_string (read_test_file ~root:true file) in
@@ -364,19 +354,13 @@ let test_committed_files_survive_merge () =
       (json_round_trips merged);
     kept
   in
-  (* what [ccopt bench --smoke --json] emits: no --parallel, no --twopc *)
-  let spec =
-    { Sim.Sched_bench.smoke with par_domains = []; twopc_fault_rates = [] }
-  in
+  (* what [ccopt bench --smoke --json] emits *)
+  let spec = Sim.Sched_bench.smoke in
   let kept =
     check "BENCH_sched.json"
-      (Sim.Sched_bench.to_json spec
-         (Sim.Sched_bench.sections ~mv:(Sim.Sched_bench.mv_stats spec)
-            ~semantic:(Sim.Sched_bench.sem_stats spec) spec
-            (Sim.Sched_bench.run spec)))
+      (Sim.Sched_bench.to_json spec (Sim.Sched_bench.sections spec))
   in
-  check_true "BENCH_sched.json keeps parallel and twopc"
-    (List.mem "parallel" kept && List.mem "twopc" kept);
+  check_true "BENCH_sched.json keeps nothing" (kept = []);
   let cspec = Sim.Check_bench.smoke in
   ignore
     (check "BENCH_check.json"

@@ -81,7 +81,20 @@ let test_sample_row () =
   (* exact fraction is 2/6; Monte-Carlo should be in the ballpark *)
   check_true "zero-delay near 1/3"
     (abs_float (row.Sim.Measure.zero_delay_fraction -. (1. /. 3.)) < 0.12);
-  check_true "delays nonnegative" (row.Sim.Measure.avg_delays >= 0.)
+  check_true "delays nonnegative" (row.Sim.Measure.avg_delays >= 0.);
+  (* no samples, no estimate: a named error instead of NaN *)
+  List.iter
+    (fun samples ->
+      check_true
+        (Printf.sprintf "zero_delay_fraction rejects %d samples" samples)
+        (match
+           Sched.Driver.zero_delay_fraction
+             (fun () -> Sched.Serial_sched.create ~fmt)
+             ~fmt ~samples ~seed:5
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ 0; -3 ]
 
 let test_compare_ordering () =
   (* SGT passes at least as much as 2PL, which passes at least as much
@@ -160,6 +173,77 @@ let test_des_contention_hurts () =
   check_true "disjoint waits less"
     (rc.Sim.Des.avg_waiting <= rh.Sim.Des.avg_waiting +. 1e-9)
 
+(* The DES parks a delayed request at the wake epoch of its verdict, as
+   [Sched.Driver] does, and asks again only once the epoch has moved.
+   [watched] wraps an engine's [attempt] to fail on any request asked
+   at the epoch it was parked at; the epoch is read as the DES reads it
+   (the engine's own, else its commits plus aborts). The workloads and
+   rates are P3's. With nothing re-asked at an unchanged epoch, every
+   SGT Delay verdict is a fresh cycle search: [Cycle_refused] and
+   [Delayed] counts agree. *)
+let watched name (s : Sched.Scheduler.t) =
+  let changes = ref 0 in
+  let parked = Hashtbl.create 16 in
+  let epoch () = Sched.Scheduler.wake_epoch s ~changes:!changes in
+  let attempt (id : Names.step_id) =
+    let tx = id.Names.tx and idx = id.Names.idx in
+    if Hashtbl.find_opt parked tx = Some (idx, epoch ()) then
+      Alcotest.failf "%s: step %d of tx %d asked again at its parked epoch"
+        name idx tx;
+    let r = s.Sched.Scheduler.attempt id in
+    if r = Sched.Scheduler.Delay then Hashtbl.replace parked tx (idx, epoch ())
+    else Hashtbl.remove parked tx;
+    r
+  in
+  let commit id =
+    incr changes;
+    s.Sched.Scheduler.commit id
+  in
+  let on_abort tx =
+    incr changes;
+    Hashtbl.remove parked tx;
+    s.Sched.Scheduler.on_abort tx
+  in
+  { s with Sched.Scheduler.attempt; commit; on_abort }
+
+let test_des_parking () =
+  let st = Random.State.make [| 5 |] in
+  let low = Sim.Workload.hotspot st ~n:20 ~m:3 ~n_vars:8 ~theta:0.15 in
+  let hot = Sim.Workload.hotspot st ~n:20 ~m:3 ~n_vars:4 ~theta:0.8 in
+  List.iter
+    (fun syntax ->
+      List.iter
+        (fun rate ->
+          let params =
+            { Sim.Des.arrival_rate = rate; exec_time = 1.0; sched_time = 0.05;
+              seed = 99 }
+          in
+          let refused = ref 0 and delayed = ref 0 in
+          let emit _ = function
+            | Obs.Event.Cycle_refused _ -> incr refused
+            | Obs.Event.Delayed _ -> incr delayed
+            | _ -> ()
+          in
+          let sink = { Obs.Sink.now = 0.; enabled = true; emit } in
+          ignore
+            (Sim.Des.run ~sink params ~syntax ~scheduler:(fun () ->
+                 watched "SGT" (Sched.Sgt.create ~sink ~syntax ())));
+          check_true "SGT delays under the DES" (!delayed > 0);
+          check_int "SGT Cycle_refused = Delayed under the DES" !delayed
+            !refused;
+          List.iter
+            (fun (name, mk) ->
+              ignore
+                (Sim.Des.run params ~syntax ~scheduler:(fun () ->
+                     watched name (mk ()))))
+            [
+              ("semantic", fun () -> Sched.Semantic.create ~syntax ());
+              ("2PL", fun () -> Sched.Tpl_sched.create_2pl ~syntax ());
+              ("sharded", fun () -> Sched.Sharded.create ~syntax ());
+            ])
+        [ 0.2; 1.0; 2.0 ])
+    [ low; hot ]
+
 (* Property: the DES completes for every scheduler on random workloads
    and the decomposition components are nonnegative. *)
 let prop_des_total =
@@ -200,5 +284,6 @@ let suite =
     Alcotest.test_case "DES serial" `Quick test_des_serial;
     Alcotest.test_case "DES decomposition" `Quick test_des_decomposition;
     Alcotest.test_case "DES contention" `Quick test_des_contention_hurts;
+    Alcotest.test_case "DES parks on the wake epoch" `Quick test_des_parking;
   ]
   @ qsuite [ prop_des_total ]
